@@ -31,7 +31,7 @@ from .fgl import FormalGroupLaw
 from .rings import Coefficient, RingSpec, random_ideal_element
 from .series import Series, SeriesTuple, compose, constancy
 from .stdgrp import StandardGroup, default_bound
-from .words import WordExpr, WordSeries
+from .words import WordExpr, WordSeries, _CayleyTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,24 +262,23 @@ def _structural_failures(data: TransversalData) -> list[str]:
     return out
 
 
-def _pointwise_failures(data: TransversalData, triples, limit: int = 3) -> list[str]:
+def _pointwise_failures(triples, mul, inv, e, fmt, limit: int = 3) -> list[str]:
+    """Associativity on the triples, then identity and inverse on their
+    elements in first-seen order, so reports do not depend on hashing."""
     out = []
-    e = data.identity
-    seen_elements = set()
+    seen = {}
     for x, y, z in triples:
-        seen_elements.update((x, y, z))
-        left = data.mul(data.mul(x, y), z)
-        right = data.mul(x, data.mul(y, z))
-        if left != right:
-            out.append(f"associativity fails at ({x}, {y}, {z})")
+        seen.update(dict.fromkeys((x, y, z)))
+        if mul(mul(x, y), z) != mul(x, mul(y, z)):
+            out.append(f"associativity fails at ({fmt(x)}, {fmt(y)}, {fmt(z)})")
             if len(out) >= limit:
                 return out
-    for x in seen_elements:
-        if data.mul(e, x) != x or data.mul(x, e) != x:
-            out.append(f"identity fails at {x}")
-        ix = data.inv(x)
-        if data.mul(x, ix) != e or data.mul(ix, x) != e:
-            out.append(f"inverse fails at {x}")
+    for x in seen:
+        if mul(e, x) != x or mul(x, e) != x:
+            out.append(f"identity fails at {fmt(x)}")
+        ix = inv(x)
+        if mul(x, ix) != e or mul(ix, x) != e:
+            out.append(f"inverse fails at {fmt(x)}")
         if len(out) >= limit:
             return out
     return out
@@ -314,7 +313,10 @@ def validate_transversal(data: TransversalData, level: int | None = None,
     if level is not None:
         mode = f"exhaustive level {level}"
         checked = len(hq) ** 3
-        failures += _pointwise_quotient_failures(hq)
+        table = _CayleyTable(hq)
+        failures += _pointwise_failures(
+            itertools.product(table.elements, repeat=3), table.mul, table.inv,
+            table.identity, lambda i: str(HElement(*table.members[i])))
     else:
         rng = random.Random(seed)
         spec, d = data.L.law.spec, data.L.d
@@ -327,31 +329,8 @@ def validate_transversal(data: TransversalData, level: int | None = None,
             triples.append(triple)
         mode = f"sampled {samples}"
         checked = samples
-        failures += _pointwise_failures(data, triples)
+        failures += _pointwise_failures(triples, data.mul, data.inv, data.identity, str)
     return ValidationReport(not failures, mode, checked, tuple(failures))
-
-
-def _pointwise_quotient_failures(hq, limit: int = 3) -> list[str]:
-    def fmt(x):
-        return str(HElement(x[0], x[1]))
-
-    out = []
-    els = hq.elements
-    e = hq.identity
-    for x, y, z in itertools.product(els, repeat=3):
-        if hq.mul(hq.mul(x, y), z) != hq.mul(x, hq.mul(y, z)):
-            out.append(f"associativity fails at ({fmt(x)}, {fmt(y)}, {fmt(z)})")
-            if len(out) >= limit:
-                return out
-    for x in els:
-        if hq.mul(e, x) != x or hq.mul(x, e) != x:
-            out.append(f"identity fails at {fmt(x)}")
-        ix = hq.inv(x)
-        if hq.mul(x, ix) != e or hq.mul(ix, x) != e:
-            out.append(f"inverse fails at {fmt(x)}")
-        if len(out) >= limit:
-            return out
-    return out
 
 
 class HQuotient:
@@ -476,7 +455,9 @@ def check_marginality(w: WordExpr, data: TransversalData,
             return MarginalityReport(False, None, cosets, verdict.witness_name(), None)
         # every chart series kills 0, so a constant word map sits on the
         # transversal itself
-        assert all(c.is_zero for c in verdict.constants)
+        if not all(c.is_zero for c in verdict.constants):
+            raise ExtensionDataError(
+                f"word map is constant off the transversal on cosets {cosets}")
         rows.append(MarginalityRow(cosets, cs.target, verdict.constants))
     return MarginalityReport(True, tuple(rows), None, None, count)
 

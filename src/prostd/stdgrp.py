@@ -81,13 +81,16 @@ class StandardGroup:
         if all(c.is_zero for c in y.coords):
             return x
         coords = self.law.F._evaluate_trusted(x.coords + y.coords)
-        assert all(c.valuation() >= self.N for c in coords)
-        return GroupElement(self, coords)
+        return GroupElement(self, self._at_level(coords))
 
     def inv(self, x: GroupElement) -> GroupElement:
         coords = self.law.I._evaluate_trusted(x.coords)
-        assert all(c.valuation() >= self.N for c in coords)
-        return GroupElement(self, coords)
+        return GroupElement(self, self._at_level(coords))
+
+    def _at_level(self, coords) -> tuple[Coefficient, ...]:
+        if any(c.valuation() < self.N for c in coords):
+            raise MaximalIdealError(f"group operation left level N={self.N}")
+        return coords
 
     def power(self, x: GroupElement, n: int) -> GroupElement:
         if n < 0:
@@ -147,7 +150,10 @@ class QuotientGroup:
 
     def _reduce(self, coords) -> tuple[Coefficient, ...]:
         out = tuple(c.mod_ideal_power(self.M) for c in coords)
-        assert out in self._index
+        if out not in self._index:
+            shown = ", ".join(str(c) for c in out)
+            raise MaximalIdealError(f"({shown}) is not among the quotient's {len(self.elements)} "
+                                    "representatives; it is not closed under mul and inv")
         return out
 
     def mul(self, x, y):

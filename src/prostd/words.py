@@ -13,6 +13,7 @@ even when that generator cancels away.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -219,15 +220,16 @@ def _tuple_guard(size: int, bound: int | None) -> int:
 class _CayleyTable:
     """Integer-indexed multiplication table of a finite group handle.
 
-    Element i is ``elements[i]``; the product of i and j is ``mul[i * n + j]``
-    and the inverse of i is ``inv[i]``.  Built from the handle's public
+    An enumeration view: its elements are the indices 0..n-1, index i stands
+    for the handle's ``members[i]``, and ``mul``/``inv``/``evaluator`` act on
+    indices through a flat n^2 product list.  Built from the handle's public
     elements/identity/mul/inv only, so every handle gets the same table.
     """
 
     def __init__(self, group):
-        elements = list(group.elements)
-        n = len(elements)
-        index = {el: i for i, el in enumerate(elements)}
+        members = list(group.elements)
+        n = len(members)
+        index = {el: i for i, el in enumerate(members)}
 
         def index_of(el):
             i = index.get(el)
@@ -236,35 +238,62 @@ class _CayleyTable:
                                  "the handle is not closed under mul and inv")
             return i
 
-        self.elements = elements
-        self.n = n
-        self.mul = [index_of(group.mul(a, b)) for a in elements for b in elements]
-        self.inv = [index_of(group.inv(a)) for a in elements]
+        self.members = members
+        self.elements = range(n)
+        self._n = n
+        self._mul = [index_of(group.mul(a, b)) for a in members for b in members]
+        self._inv = [index_of(group.inv(a)) for a in members]
         self.identity = index_of(group.identity)
 
-    def image(self, w: WordExpr) -> set[int]:
-        n, mul, inv = self.n, self.mul, self.inv
+    def mul(self, a: int, b: int) -> int:
+        return self._mul[a * self._n + b]
+
+    def inv(self, a: int) -> int:
+        return self._inv[a]
+
+    def evaluator(self, w: WordExpr):
+        """w as a function of an index tuple, folded on the flat table."""
+        n, mul, inv, identity = self._n, self._mul, self._inv, self.identity
         letters = [(gen - 1, sign > 0) for gen, sign in w.letters]
-        out = set()
-        for args in itertools.product(range(n), repeat=w.k):
-            acc = self.identity
+
+        def evaluate(args):
+            acc = identity
             for slot, positive in letters:
                 v = args[slot]
                 acc = mul[acc * n + (v if positive else inv[v])]
-            out.add(acc)
-        return out
+            return acc
+
+        return evaluate
+
+    def lift(self, indices) -> set:
+        return {self.members[i] for i in indices}
 
 
-def _cayley_table(w: WordExpr, group, bound: int) -> _CayleyTable | None:
+class _HandleView:
+    """The handle itself as an enumeration view, evaluating letter by letter."""
+
+    def __init__(self, group):
+        self._group = group
+        self.elements, self.identity = group.elements, group.identity
+        self.mul, self.inv = group.mul, group.inv
+
+    def evaluator(self, w: WordExpr):
+        return functools.partial(w.evaluate, self._group)
+
+    def lift(self, elements) -> set:
+        return set(elements)
+
+
+def _view(w: WordExpr, group, bound: int):
     """The handle's cached table, or a new one when enumerating w{G} costs at
-    least the n^2 products of the table and n^2 is within the bound; None
-    keeps the letter-by-letter path.  The cache lives on the handle."""
+    least the n^2 products of the table and n^2 is within the bound; else the
+    handle itself.  The cache lives on the handle."""
     table = getattr(group, "_cayley_table", None)
     if table is not None:
         return table
     n = len(group.elements)
     if n**w.k * len(w.letters) < n * n or n * n > bound:
-        return None
+        return _HandleView(group)
     table = _CayleyTable(group)
     try:
         group._cayley_table = table
@@ -273,22 +302,25 @@ def _cayley_table(w: WordExpr, group, bound: int) -> _CayleyTable | None:
     return table
 
 
+def _image(w: WordExpr, view) -> set:
+    evaluate = view.evaluator(w)
+    return {evaluate(args) for args in itertools.product(view.elements, repeat=w.k)}
+
+
 def word_image(w: WordExpr, group, bound: int | None = None) -> set:
     """w{G} = all word values over a finite group handle."""
-    n = len(group.elements)
-    bound = _tuple_guard(n**w.k, bound)
-    table = _cayley_table(w, group, bound)
-    if table is not None:
-        return {table.elements[i] for i in table.image(w)}
-    out = set()
-    for args in itertools.product(group.elements, repeat=w.k):
-        out.add(w.evaluate(group, args))
-    return out
+    view = _view(w, group, _tuple_guard(len(group.elements) ** w.k, bound))
+    return view.lift(_image(w, view))
 
 
-def _closure(gens, identity, mul) -> set:
-    seen = {identity}
-    frontier = [identity]
+def verbal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
+    """The subgroup generated by the word image."""
+    view = _view(w, group, _tuple_guard(len(group.elements) ** w.k, bound))
+    image = _image(w, view)
+    gens = image | {view.inv(g) for g in image}
+    mul = view.mul
+    seen = {view.identity}
+    frontier = [view.identity]
     while frontier:
         nxt = []
         for a in frontier:
@@ -298,42 +330,22 @@ def _closure(gens, identity, mul) -> set:
                     seen.add(b)
                     nxt.append(b)
         frontier = nxt
-    return seen
-
-
-def verbal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
-    """The subgroup generated by the word image."""
-    n = len(group.elements)
-    bound = _tuple_guard(n**w.k, bound)
-    table = _cayley_table(w, group, bound)
-    if table is not None:
-        image = table.image(w)
-        gens = image | {table.inv[g] for g in image}
-        n, mul = table.n, table.mul
-        seen = _closure(gens, table.identity, lambda a, g: mul[a * n + g])
-        return {table.elements[i] for i in seen}
-    image = word_image(w, group, bound)
-    gens = set(image) | {group.inv(g) for g in image}
-    return _closure(gens, group.identity, group.mul)
+    return view.lift(seen)
 
 
 def marginal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
     """Elements g with w(.., g*x_i, ..) = w(.., x_i, ..) in every slot, always."""
-    n = len(group.elements)
-    _tuple_guard(n ** (w.k + 1), bound)
-    out = set()
-    for g in group.elements:
-        ok = True
-        for args in itertools.product(group.elements, repeat=w.k):
-            base = w.evaluate(group, args)
+    view = _view(w, group, _tuple_guard(len(group.elements) ** (w.k + 1), bound))
+    evaluate, mul = view.evaluator(w), view.mul
+
+    def marginal(g) -> bool:
+        for args in itertools.product(view.elements, repeat=w.k):
+            base = evaluate(args)
             for i in range(w.k):
                 shifted = list(args)
-                shifted[i] = group.mul(g, args[i])
-                if w.evaluate(group, shifted) != base:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(g)
-    return out
+                shifted[i] = mul(g, args[i])
+                if evaluate(shifted) != base:
+                    return False
+        return True
+
+    return view.lift(g for g in view.elements if marginal(g))

@@ -1,7 +1,12 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import prostd
 from prostd.atlas import (
     HElement,
     TransversalData,
@@ -165,9 +170,44 @@ def test_validate_flags_corrupt_data():
                            C={"1": SeriesTuple.of(x), "s": SeriesTuple.of(x + x * x)},
                            A={}, split=False)
     report = validate_transversal(skew, level=4)
-    assert not report.ok
-    assert any("associativity fails" in f or "inverse fails" in f
-               for f in report.failures)
+    assert not report.ok and report.checked == 16**3
+    assert report.failures == (
+        "associativity fails at ((1; 2), (1; 2), (s; 0))",
+        "associativity fails at ((1; 2), (1; 2), (s; 2))",
+        "associativity fails at ((1; 2), (1; 2), (s; 4))",
+    )
+
+
+SAMPLED_SKEW = """
+from prostd.atlas import TransversalData, cyclic_table, validate_transversal
+from prostd.fgl import builtin
+from prostd.rings import padic
+from prostd.series import SeriesTuple
+from prostd.stdgrp import StandardGroup
+
+L = StandardGroup(builtin("additive", padic(2, 4), 4), 1)
+x = SeriesTuple.block(L.law.spec, 1, 4, 0, 1)[0]
+data = TransversalData(L=L, T=cyclic_table(2),
+                       C={"1": SeriesTuple.of(x), "s": SeriesTuple.of(x)},
+                       A={("inv", "s"): SeriesTuple.of(x + x * x)}, split=False)
+print(validate_transversal(data, samples=30, seed=0).failures)
+"""
+
+
+def test_validate_sampled_failures_ignore_hash_seed():
+    # the ("inv", s) correction x + x^2 breaks inverses; the report must list
+    # them in the same order whatever the interpreter's string hashing
+    env = dict(os.environ)
+    package_root = str(pathlib.Path(prostd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    outputs = set()
+    for hash_seed in ("1", "4"):
+        env["PYTHONHASHSEED"] = hash_seed
+        proc = subprocess.run([sys.executable, "-c", SAMPLED_SKEW], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1 and "inverse fails" in outputs.pop()
 
 
 def test_quotient_bound():

@@ -6,7 +6,7 @@ from oracles import HeisQuotient, heis_coords, heis_inv_mat, heis_mat, mat_mul
 from prostd.errors import EnumerationBoundError, MaximalIdealError
 from prostd.fgl import builtin
 from prostd.rings import Coefficient, eqchar, padic, random_ideal_element
-from prostd.stdgrp import StandardGroup
+from prostd.stdgrp import GroupElement, StandardGroup
 
 
 def heis_group(p=2, K=5, N=1, D=5):
@@ -31,6 +31,21 @@ def test_element_validation():
         G.element(["4", "8"])
     with pytest.raises(ValueError, match=">= 1"):
         StandardGroup(G.law, 0)
+
+
+def test_operations_check_the_level():
+    # explicit checks, so they hold under python -O as well
+    G = heis_group(N=2)
+    low = GroupElement(G, tuple(Coefficient.make(G.law.spec, v) for v in (1, 0, 0)))
+    with pytest.raises(MaximalIdealError, match="left level N=2"):
+        G.mul(low, low)
+    with pytest.raises(MaximalIdealError, match="left level N=2"):
+        G.inv(low)
+    hq = heis_group().quotient(2)
+    x = hq.elements[1]
+    hq._index.discard(hq.mul(x, x))
+    with pytest.raises(MaximalIdealError, match="not closed under mul and inv"):
+        hq.mul(x, x)
 
 
 def test_identity_and_str():

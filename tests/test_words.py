@@ -165,10 +165,13 @@ def test_verbal_is_a_subgroup_containing_image():
             assert hq.mul(a, b) in closure
 
 
-def _letterwise_image_and_verbal(w, group):
-    """Reference: every word value by w.evaluate, closed under group.mul."""
-    image = {w.evaluate(group, args)
-             for args in itertools.product(group.elements, repeat=w.k)}
+def _letterwise_reference(w, group):
+    """Reference image, verbal and marginal subgroups: every word value by
+    w.evaluate, closed under group.mul; g is marginal when shifting any slot
+    of any argument tuple by g leaves the tuple's word value unchanged."""
+    values = {args: w.evaluate(group, args)
+              for args in itertools.product(group.elements, repeat=w.k)}
+    image = set(values.values())
     gens = image | {group.inv(g) for g in image}
     seen, frontier = {group.identity}, [group.identity]
     while frontier:
@@ -178,7 +181,11 @@ def _letterwise_image_and_verbal(w, group):
             if b not in seen:
                 seen.add(b)
                 frontier.append(b)
-    return image, seen
+    shift = {(g, x): group.mul(g, x) for g in group.elements for x in group.elements}
+    marginal = {g for g in group.elements
+                if all(values[args[:i] + (shift[g, args[i]],) + args[i + 1:]] == value
+                       for args, value in values.items() for i in range(w.k))}
+    return image, seen, marginal
 
 
 @pytest.mark.parametrize("make, text, tabled", [
@@ -186,6 +193,9 @@ def _letterwise_image_and_verbal(w, group):
      "[x1, x2]", True),
     (lambda: StandardGroup(builtin("heisenberg", padic(2, 5), 5), 1).quotient(3),
      "x1^2 x2^2", True),
+    # x1^4 is trivial on this quotient, so only the second slot limits the marginal
+    (lambda: StandardGroup(builtin("heisenberg", padic(2, 5), 5), 1).quotient(3),
+     "x1^4 x2^2", True),
     (lambda: extension_quotient(inversion_extension(
         StandardGroup(builtin("additive", eqchar(3, 3), 4), 1)), 3),
      "[x1, x2] x1^2", True),
@@ -195,9 +205,10 @@ def _letterwise_image_and_verbal(w, group):
 ])
 def test_cayley_table_matches_letterwise(make, text, tabled):
     group, w = make(), parse_word(text)
-    image, verbal = _letterwise_image_and_verbal(w, group)
+    image, verbal, marginal = _letterwise_reference(w, group)
     assert word_image(w, group) == image
     assert verbal_subgroup(w, group) == verbal
+    assert marginal_subgroup(w, group) == marginal
     assert hasattr(group, "_cayley_table") == tabled
 
 
