@@ -26,7 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import EnumerationBoundError, ExtensionDataError, ShapeError
+from .errors import EnumerationBoundError, ExtensionDataError, ShapeError, _json_shape
 from .fgl import FormalGroupLaw
 from .rings import Coefficient, RingSpec, random_ideal_element
 from .series import Series, SeriesTuple, compose, constancy
@@ -485,14 +485,17 @@ def extension_to_json(data: TransversalData) -> dict:
 def extension_from_json(obj: dict) -> TransversalData:
     from .fgl import law_from_json
 
-    law = law_from_json(obj["L"]["law"])
-    L = StandardGroup(law, obj["L"]["N"])
-    tj = obj["T"]
-    mul = {(t, r): v for t, row in tj["mul_table"].items() for r, v in row.items()}
-    T = coset_table(tj["elements"], tj["identity"], mul, tj["inv"])
-    C = {t: SeriesTuple.from_json(law.spec, s) for t, s in obj["C"].items()}
-    A = {}
-    for key, s in obj.get("A", {}).items():
-        parts = key.split(":")
-        A[tuple(parts)] = SeriesTuple.from_json(law.spec, s)
-    return TransversalData(L=L, T=T, C=C, A=A, split=obj.get("split", not A))
+    with _json_shape("extension"):
+        law_obj = obj["L"]["law"]
+    law = law_from_json(law_obj)
+    with _json_shape("extension"):
+        L = StandardGroup(law, obj["L"]["N"])
+        tj = obj["T"]
+        mul = {(t, r): v for t, row in tj["mul_table"].items() for r, v in row.items()}
+        T = coset_table(tj["elements"], tj["identity"], mul, tj["inv"])
+        C = {t: SeriesTuple.from_json(law.spec, s) for t, s in obj["C"].items()}
+        A = {}
+        for key, s in obj.get("A", {}).items():
+            parts = key.split(":")
+            A[tuple(parts)] = SeriesTuple.from_json(law.spec, s)
+        return TransversalData(L=L, T=T, C=C, A=A, split=obj.get("split", not A))

@@ -31,6 +31,7 @@ from .atlas import (
     inversion_extension,
     validate_transversal,
 )
+from .errors import _json_shape
 from .fgl import BUILTIN_LAWS, builtin, law_from_json, law_series_from_json, make_law, verify
 from .rings import (
     PrecisionReduction,
@@ -93,7 +94,11 @@ def _load_law(args, ref: str):
 def _load_group(args) -> StandardGroup:
     if getattr(args, "group", None):
         obj = _read_json(args.group)
-        return StandardGroup(law_from_json(obj["law"]), obj["N"])
+        with _json_shape("group"):
+            law_obj = obj["law"]
+        law = law_from_json(law_obj)
+        with _json_shape("group"):
+            return StandardGroup(law, obj["N"])
     if getattr(args, "law", None):
         return StandardGroup(_load_law(args, args.law), args.N)
     raise _Usage("one of --group or --law is required")

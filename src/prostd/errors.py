@@ -5,6 +5,8 @@ fine distinction can catch one thing; the CLI maps these to exit code 1
 and genuine usage problems to exit code 2.
 """
 
+from contextlib import contextmanager
+
 
 class RingMismatchError(ValueError):
     """Operands belong to different coefficient rings."""
@@ -16,6 +18,19 @@ class MaximalIdealError(ValueError):
 
 class ShapeError(ValueError):
     """Series or tuple shapes are incompatible."""
+
+
+@contextmanager
+def _json_shape(what: str):
+    """Re-raise the errors that well-formed JSON of the wrong shape causes
+    while it is converted (a missing key, a list for an object, a number for
+    a string) as ShapeError naming the kind of file."""
+    try:
+        yield
+    except KeyError as e:
+        raise ShapeError(f"{what} JSON lacks the key {e}") from e
+    except (TypeError, AttributeError, IndexError) as e:
+        raise ShapeError(f"{what} JSON has the wrong shape: {e}") from e
 
 
 class SubstitutionError(ValueError):

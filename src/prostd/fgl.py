@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import LawError, ShapeError
+from .errors import LawError, ShapeError, _json_shape
 from .rings import Coefficient, RingSpec
 from .series import Series, SeriesTuple, compose, monomial_name
 
@@ -47,6 +47,23 @@ def _first_nonzero(T: SeriesTuple) -> str | None:
             alpha, _ = s.terms[0]
             return f"component {j + 1}: {monomial_name(alpha)}"
     return None
+
+
+def _require_law(F: SeriesTuple, what: str) -> None:
+    """Raise LawError naming ``what`` and the first axiom F fails."""
+    report = verify(F)
+    if not report.ok:
+        bad = next(c for c in report.checks if not c.ok)
+        raise LawError(f"{what} fails {bad.name}: {bad.witness}")
+
+
+def _require_cancels(F: SeriesTuple, I: SeriesTuple, what: str) -> None:
+    """Raise LawError unless F(X, I(X)) and F(I(X), X) both vanish."""
+    x_vars = SeriesTuple.block(F.spec, len(F), F.D, 0, len(F))
+    for side in (compose(F, x_vars.concat(I)), compose(F, I.concat(x_vars))):
+        bad = _first_nonzero(side)
+        if bad is not None:
+            raise LawError(f"{what} does not cancel: {bad}")
 
 
 def _check_law_shape(F: SeriesTuple) -> int:
@@ -103,10 +120,7 @@ def formal_inverse(F: SeriesTuple) -> SeriesTuple:
         if all(s.is_zero for s in corr.components):
             continue
         inv = inv - corr
-    for side in (compose(F, x_vars.concat(inv)), compose(F, inv.concat(x_vars))):
-        bad = _first_nonzero(side)
-        if bad is not None:
-            raise LawError(f"formal inverse does not cancel: {bad}")
+    _require_cancels(F, inv, "formal inverse")
     return inv
 
 
@@ -125,10 +139,7 @@ class FormalGroupLaw:
         """
         F2 = self.F.map_coefficients(phi)
         I2 = self.I.map_coefficients(phi)
-        report = verify(F2)
-        if not report.ok:
-            bad = next(c for c in report.checks if not c.ok)
-            raise LawError(f"transported law fails {bad.name}: {bad.witness}")
+        _require_law(F2, "transported law")
         return FormalGroupLaw(self.d, phi.target, self.D, F2, I2)
 
     def to_json(self) -> dict:
@@ -144,10 +155,7 @@ class FormalGroupLaw:
 def make_law(F: SeriesTuple, check: bool = True) -> FormalGroupLaw:
     d = _check_law_shape(F)
     if check:
-        report = verify(F)
-        if not report.ok:
-            bad = next(c for c in report.checks if not c.ok)
-            raise LawError(f"series tuple fails {bad.name}: {bad.witness}")
+        _require_law(F, "series tuple")
     return FormalGroupLaw(d, F.spec, F.D, F, formal_inverse(F))
 
 
@@ -186,8 +194,9 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
 
 def law_series_from_json(obj: dict) -> SeriesTuple:
     """The raw F tuple of a law file, without any axiom checking."""
-    spec = RingSpec.from_json(obj["spec"])
-    F = SeriesTuple.from_json(spec, obj["F"])
+    with _json_shape("law"):
+        spec = RingSpec.from_json(obj["spec"])
+        F = SeriesTuple.from_json(spec, obj["F"])
     if F.nvars != 2 * len(F):
         raise ShapeError("law JSON has inconsistent dimensions")
     if obj.get("D", F.D) != F.D or obj.get("d", len(F)) != len(F):
@@ -199,19 +208,13 @@ def law_from_json(obj: dict, check: bool = True) -> FormalGroupLaw:
     F = law_series_from_json(obj)
     d = len(F)
     if check:
-        report = verify(F)
-        if not report.ok:
-            bad = next(c for c in report.checks if not c.ok)
-            raise LawError(f"law file fails {bad.name}: {bad.witness}")
+        _require_law(F, "law file")
     if "I" in obj and obj["I"]:
-        I = SeriesTuple.from_json(F.spec, obj["I"])
+        with _json_shape("law"):
+            I = SeriesTuple.from_json(F.spec, obj["I"])
         if len(I) != d or I.nvars != d:
             raise ShapeError("cached inverse has the wrong shape")
-        x_vars = SeriesTuple.block(F.spec, d, F.D, 0, d)
-        for side in (compose(F, x_vars.concat(I)), compose(F, I.concat(x_vars))):
-            bad = _first_nonzero(side)
-            if bad is not None:
-                raise LawError(f"cached inverse does not cancel: {bad}")
+        _require_cancels(F, I, "cached inverse")
     else:
         I = formal_inverse(F)
     return FormalGroupLaw(d, F.spec, F.D, F, I)

@@ -13,15 +13,25 @@ precision.  The maximal ideal is (p), (t) or (p, t1, .., tm) respectively;
 convention that the weight of a nested monomial ``c * t^alpha`` is
 ``valuation(c) + |alpha|`` and that valuation is ``+inf`` exactly for the
 element that is zero at this precision.
+
+Truncated multivariate polynomials appear at two levels: nested payloads
+here and ``Series`` terms in ``series.py``.  Both are tuples of (exponent
+vector, coefficient) pairs in one canonical form: each exponent appears at
+most once, every coefficient is nonzero, every total degree is below the
+truncation bound, and the pairs are in graded-lex order (``grlex_key``).
+Sums, products, reductions and constructors build that form through
+``collect`` (``poly_mul`` multiplies, then collects); negation and slicing
+keep it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .errors import EnumerationBoundError, MaximalIdealError, RingMismatchError
 
@@ -52,6 +62,32 @@ def grlex_key(alpha: tuple[int, ...]):
     return (sum(alpha), tuple(-a for a in alpha))
 
 
+def collect(pairs, add, is_zero, bound: int) -> tuple:
+    """The canonical polynomial of (exponent, coefficient) pairs: equal
+    exponents summed with ``add``, exponents of total degree >= ``bound`` and
+    sums that satisfy ``is_zero`` dropped, the rest in graded-lex order."""
+    acc: dict = {}
+    for alpha, c in pairs:
+        if sum(alpha) < bound:
+            prev = acc.get(alpha)
+            acc[alpha] = c if prev is None else add(prev, c)
+    return tuple(sorted(((alpha, c) for alpha, c in acc.items() if not is_zero(c)),
+                        key=lambda it: grlex_key(it[0])))
+
+
+def poly_mul(a, b, mul, add, is_zero, bound: int) -> tuple:
+    """The canonical product of two canonical polynomials, truncated at
+    ``bound``; no product of degree >= ``bound`` is formed."""
+    pairs = []
+    for alpha, c in a:
+        room = bound - sum(alpha)
+        for beta, e in b:
+            if sum(beta) >= room:
+                break  # b is graded, so every later beta is too big as well
+            pairs.append((tuple(map(operator.add, alpha, beta)), mul(c, e)))
+    return collect(pairs, add, is_zero, bound)
+
+
 @dataclass(frozen=True)
 class RingSpec:
     """Shape and precision of a coefficient ring."""
@@ -66,6 +102,8 @@ class RingSpec:
     def __post_init__(self):
         if self.kind not in (P_ADIC, EQ_CHAR, NESTED):
             raise ValueError(f"unknown ring kind {self.kind!r}")
+        if not all(isinstance(v, int) for v in (self.p, self.K, self.m, self.Dt)):
+            raise ValueError("ring parameters p, K, m and Dt must be integers")
         if not _is_prime(self.p):
             raise ValueError(f"p must be prime, got {self.p}")
         if self.K < 1:
@@ -158,14 +196,8 @@ def _pl_from_int(spec: RingSpec, n: int):
     return (((0,) * spec.m, c),)
 
 
-def _nested_canonical(spec: RingSpec, mapping: dict):
-    items = []
-    for alpha, c in mapping.items():
-        if sum(alpha) >= spec.Dt or _pl_is_zero(spec.base, c):
-            continue
-        items.append((tuple(alpha), c))
-    items.sort(key=lambda it: grlex_key(it[0]))
-    return tuple(items)
+def _nested_canonical(spec: RingSpec, pairs):
+    return collect(pairs, partial(_pl_add, spec.base), partial(_pl_is_zero, spec.base), spec.Dt)
 
 
 def _pl_add(spec: RingSpec, a, b):
@@ -174,11 +206,7 @@ def _pl_add(spec: RingSpec, a, b):
     if spec.kind == EQ_CHAR:
         p = spec.p
         return tuple((x + y) % p for x, y in zip(a, b))
-    acc = dict(a)
-    for alpha, c in b:
-        cur = acc.get(alpha)
-        acc[alpha] = c if cur is None else _pl_add(spec.base, cur, c)
-    return _nested_canonical(spec, acc)
+    return _nested_canonical(spec, a + b)
 
 
 def _pl_neg(spec: RingSpec, a):
@@ -205,18 +233,9 @@ def _pl_mul(spec: RingSpec, a, b):
                 if y:
                     out[i + j] = (out[i + j] + x * y) % p
         return tuple(out)
-    acc: dict = {}
-    Dt = spec.Dt
-    for alpha, c in a:
-        da = sum(alpha)
-        for beta, e in b:
-            if da + sum(beta) >= Dt:
-                continue
-            gamma = tuple(x + y for x, y in zip(alpha, beta))
-            prod = _pl_mul(spec.base, c, e)
-            cur = acc.get(gamma)
-            acc[gamma] = prod if cur is None else _pl_add(spec.base, cur, prod)
-    return _nested_canonical(spec, acc)
+    base = spec.base
+    return poly_mul(a, b, partial(_pl_mul, base), partial(_pl_add, base),
+                    partial(_pl_is_zero, base), spec.Dt)
 
 
 def _pl_valuation(spec: RingSpec, a) -> int | float:
@@ -248,12 +267,8 @@ def _pl_reduce(spec: RingSpec, a, M: int):
         if M >= spec.K:
             return a
         return a[:M] + (0,) * (spec.K - M)
-    acc = {}
-    for alpha, c in a:
-        r = _pl_reduce(spec.base, c, M - sum(alpha))
-        if not _pl_is_zero(spec.base, r):
-            acc[alpha] = r
-    return _nested_canonical(spec, acc)
+    return _nested_canonical(spec, [(alpha, _pl_reduce(spec.base, c, M - sum(alpha)))
+                                    for alpha, c in a])
 
 
 @dataclass(frozen=True)
@@ -292,16 +307,13 @@ class Coefficient:
                 raise ValueError("eq-char payload longer than precision K")
             digits += [0] * (spec.K - len(digits))
             return Coefficient(spec, tuple(digits))
-        mapping = dict(raw.items() if isinstance(raw, dict) else raw)
-        canon = {}
-        for alpha, c in mapping.items():
+        pairs = []
+        for alpha, c in raw.items() if isinstance(raw, dict) else raw:
             alpha = tuple(int(e) for e in alpha)
             if len(alpha) != spec.m or any(e < 0 for e in alpha):
                 raise ValueError(f"bad nested exponent vector {alpha}")
-            cc = Coefficient.make(spec.base, c)
-            prev = canon.get(alpha)
-            canon[alpha] = cc.payload if prev is None else _pl_add(spec.base, prev, cc.payload)
-        return Coefficient(spec, _nested_canonical(spec, canon))
+            pairs.append((alpha, Coefficient.make(spec.base, c).payload))
+        return Coefficient(spec, _nested_canonical(spec, pairs))
 
     # -- ring operations ---------------------------------------------------
 
@@ -426,14 +438,7 @@ def specialise(a: Coefficient, point: tuple[Coefficient, ...]) -> Coefficient:
             raise RingMismatchError("specialisation point must live in the base ring")
         if q.valuation() < 1:
             raise MaximalIdealError("specialisation point outside the maximal ideal")
-    acc = Coefficient.zero(spec.base)
-    for alpha, c in a.payload:
-        term = Coefficient(spec.base, c)
-        for q, e in zip(point, alpha):
-            if e:
-                term = term * q**e
-        acc = acc + term
-    return acc
+    return evaluate_terms(spec.base, a.nested_terms(), point, {})
 
 
 # --------------------------------------------------------------------------
@@ -486,16 +491,10 @@ class PrecisionReduction(CoefficientMap):
             return Coefficient.make(self.target, c.payload)
         if src.kind == EQ_CHAR:
             return Coefficient.make(self.target, c.payload[: self.target.K])
-        tgt = self.target
-        items = {}
-        for alpha, pay in c.payload:
-            if sum(alpha) >= tgt.Dt:
-                continue
-            if src.base.kind == P_ADIC:
-                items[alpha] = pay
-            else:
-                items[alpha] = pay[: tgt.K]
-        return Coefficient.make(tgt, items)
+        tgt = self.target  # make drops the monomials of t-degree >= the new Dt
+        if src.base.kind == P_ADIC:
+            return Coefficient.make(tgt, c.payload)
+        return Coefficient.make(tgt, [(alpha, pay[: tgt.K]) for alpha, pay in c.payload])
 
 
 def residue_map(spec: RingSpec) -> PrecisionReduction:
@@ -551,11 +550,8 @@ def representatives(spec: RingSpec, N: int, M: int, bound: int | None = None) ->
     for alpha in alphas:
         lo = max(N - sum(alpha), 0)
         choices.append(representatives(spec.base, lo, M - sum(alpha)))
-    out = []
-    for combo in itertools.product(*choices):
-        items = {a: c.payload for a, c in zip(alphas, combo) if not c.is_zero}
-        out.append(Coefficient(spec, _nested_canonical(spec, items)))
-    return out
+    return [Coefficient(spec, _nested_canonical(spec, zip(alphas, (c.payload for c in combo))))
+            for combo in itertools.product(*choices)]
 
 
 def bounded_exponents(m: int, bound: int) -> list[tuple[int, ...]]:
@@ -577,14 +573,12 @@ def random_ideal_element(spec: RingSpec, N: int, rng) -> Coefficient:
         for i in range(min(N, spec.K), spec.K):
             digits[i] = rng.randrange(spec.p)
         return Coefficient(spec, tuple(digits))
-    items = {}
+    pairs = []
     for alpha in bounded_exponents(spec.m, spec.Dt):
         if rng.random() < 0.5:
             continue
-        c = random_ideal_element(spec.base, max(N - sum(alpha), 0), rng)
-        if not c.is_zero:
-            items[alpha] = c.payload
-    return Coefficient(spec, _nested_canonical(spec, items))
+        pairs.append((alpha, random_ideal_element(spec.base, max(N - sum(alpha), 0), rng).payload))
+    return Coefficient(spec, _nested_canonical(spec, pairs))
 
 
 # --------------------------------------------------------------------------

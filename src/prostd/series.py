@@ -1,21 +1,34 @@
 """Truncated multivariate power series over the coefficient rings.
 
 A ``Series`` is a sparse polynomial representative of R[[X1..Xn]] / (degree
->= D): only monomials of total degree < D are stored, with nonzero
-coefficients, in graded-lex order.  Arithmetic silently drops everything of
-degree >= D.  ``compose`` requires the inner series to have zero constant
-term; at a finite degree truncation a constant term would make every output
-coefficient an infinite sum, so that case is rejected rather than
-approximated.  ``substitute`` is the finite partial-evaluation primitive
-(ring constants are allowed); callers own its precision analysis.
+>= D).  Its terms are in the canonical form of ``rings.collect`` with D as
+the bound: distinct exponent vectors of total degree < D, nonzero
+coefficients, graded-lex order; every constructor and operation here builds
+them through ``collect`` or ``poly_mul``, so arithmetic silently drops
+everything of degree >= D.  ``compose`` requires the inner series to have
+zero constant term; at a finite degree truncation a constant term would make
+every output coefficient an infinite sum, so that case is rejected rather
+than approximated.  ``substitute`` is the finite partial-evaluation
+primitive (ring constants are allowed); callers own its precision analysis.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import MaximalIdealError, RingMismatchError, ShapeError, SubstitutionError
-from .rings import Coefficient, RingSpec, evaluate_terms, grlex_key, parse_coefficient
+from .rings import (
+    Coefficient,
+    RingSpec,
+    collect,
+    evaluate_terms,
+    grlex_key,
+    parse_coefficient,
+    poly_mul,
+)
+
+_is_zero = operator.attrgetter("is_zero")
 
 
 def _check_point(spec: RingSpec, nvars: int, args) -> None:
@@ -52,9 +65,8 @@ class Series:
             raise ShapeError("series need at least one variable")
         if D < 1:
             raise ShapeError("degree truncation D must be >= 1")
-        mapping = items.items() if isinstance(items, dict) else items
-        acc: dict[tuple[int, ...], Coefficient] = {}
-        for alpha, c in mapping:
+        pairs = []
+        for alpha, c in items.items() if isinstance(items, dict) else items:
             alpha = tuple(int(e) for e in alpha)
             if len(alpha) != nvars or any(e < 0 for e in alpha):
                 raise ShapeError(f"bad exponent vector {alpha} for {nvars} variables")
@@ -62,15 +74,8 @@ class Series:
                 if truncate:
                     continue
                 raise ShapeError(f"monomial degree {sum(alpha)} outside truncation D={D}")
-            c = Coefficient.make(spec, c)
-            prev = acc.get(alpha)
-            cur = c if prev is None else prev + c
-            if cur.is_zero:
-                acc.pop(alpha, None)
-            else:
-                acc[alpha] = cur
-        ordered = tuple(sorted(acc.items(), key=lambda it: grlex_key(it[0])))
-        return Series(spec, nvars, D, ordered)
+            pairs.append((alpha, Coefficient.make(spec, c)))
+        return Series(spec, nvars, D, collect(pairs, operator.add, _is_zero, D))
 
     @staticmethod
     def zero(spec: RingSpec, nvars: int, D: int) -> Series:
@@ -122,16 +127,8 @@ class Series:
 
     def __add__(self, other: Series) -> Series:
         self._check_mate(other)
-        acc = dict(self.terms)
-        for alpha, c in other.terms:
-            prev = acc.get(alpha)
-            cur = c if prev is None else prev + c
-            if cur.is_zero:
-                acc.pop(alpha, None)
-            else:
-                acc[alpha] = cur
         return Series(self.spec, self.nvars, self.D,
-                      tuple(sorted(acc.items(), key=lambda it: grlex_key(it[0]))))
+                      collect(self.terms + other.terms, operator.add, _is_zero, self.D))
 
     def __neg__(self) -> Series:
         return Series(self.spec, self.nvars, self.D,
@@ -142,32 +139,15 @@ class Series:
 
     def __mul__(self, other: Series) -> Series:
         self._check_mate(other)
-        acc: dict[tuple[int, ...], Coefficient] = {}
-        D = self.D
-        for alpha, c in self.terms:
-            da = sum(alpha)
-            for beta, e in other.terms:
-                if da + sum(beta) >= D:
-                    continue
-                gamma = tuple(x + y for x, y in zip(alpha, beta))
-                prod = c * e
-                prev = acc.get(gamma)
-                cur = prod if prev is None else prev + prod
-                if cur.is_zero:
-                    acc.pop(gamma, None)
-                else:
-                    acc[gamma] = cur
         return Series(self.spec, self.nvars, self.D,
-                      tuple(sorted(acc.items(), key=lambda it: grlex_key(it[0]))))
+                      poly_mul(self.terms, other.terms, operator.mul, operator.add, _is_zero,
+                               self.D))
 
     def scale(self, c) -> Series:
         c = Coefficient.make(self.spec, c)
-        acc = []
-        for alpha, x in self.terms:
-            y = x * c
-            if not y.is_zero:
-                acc.append((alpha, y))
-        return Series(self.spec, self.nvars, self.D, tuple(acc))
+        return Series(self.spec, self.nvars, self.D,
+                      collect(((alpha, x * c) for alpha, x in self.terms),
+                              operator.add, _is_zero, self.D))
 
     def __pow__(self, e: int) -> Series:
         if e < 0:
@@ -194,12 +174,8 @@ class Series:
         """Transport along a coefficient map: apply phi termwise."""
         if phi.source != self.spec:
             raise RingMismatchError("coefficient map domain differs from series ring")
-        items = {}
-        for alpha, c in self.terms:
-            y = phi(c)
-            if not y.is_zero:
-                items[alpha] = y
-        return Series.make(phi.target, self.nvars, self.D, items)
+        return Series.make(phi.target, self.nvars, self.D,
+                           [(alpha, phi(c)) for alpha, c in self.terms])
 
     def __str__(self) -> str:
         parts = []
@@ -319,15 +295,7 @@ def _substitute_series(series: Series, subs, out_nvars: int, out_D: int,
                        powers: dict) -> Series:
     spec = series.spec
     zero_vec = (0,) * out_nvars
-    acc: dict[tuple[int, ...], Coefficient] = {}
-
-    def bump(alpha, c):
-        prev = acc.get(alpha)
-        cur = c if prev is None else prev + c
-        if cur.is_zero:
-            acc.pop(alpha, None)
-        else:
-            acc[alpha] = cur
+    pairs = []
 
     def power(i: int, e: int) -> Series:
         got = powers.get((i, e))
@@ -358,11 +326,10 @@ def _substitute_series(series: Series, subs, out_nvars: int, out_D: int,
         if dead:
             continue
         if factor is None:
-            bump(zero_vec, scalar)
+            pairs.append((zero_vec, scalar))
         else:
-            for beta, e in factor.terms:
-                bump(beta, e * scalar)
-    return Series.make(spec, out_nvars, out_D, acc, truncate=True)
+            pairs.extend((beta, e * scalar) for beta, e in factor.terms)
+    return Series(spec, out_nvars, out_D, collect(pairs, operator.add, _is_zero, out_D))
 
 
 def substitute(outer: SeriesTuple | Series, subs) -> SeriesTuple | Series:

@@ -337,14 +337,13 @@ def marginal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
     """Elements g with w(.., g*x_i, ..) = w(.., x_i, ..) in every slot, always."""
     view = _view(w, group, _tuple_guard(len(group.elements) ** (w.k + 1), bound))
     evaluate, mul = view.evaluator(w), view.mul
+    # each argument tuple is evaluated once; a shift is a lookup of its value
+    values = {args: evaluate(args) for args in itertools.product(view.elements, repeat=w.k)}
 
     def marginal(g) -> bool:
-        for args in itertools.product(view.elements, repeat=w.k):
-            base = evaluate(args)
+        for args, value in values.items():
             for i in range(w.k):
-                shifted = list(args)
-                shifted[i] = mul(g, args[i])
-                if evaluate(shifted) != base:
+                if values[args[:i] + (mul(g, args[i]),) + args[i + 1:]] != value:
                     return False
         return True
 

@@ -44,6 +44,21 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
     assert code == 2 and "JSONDecodeError" in err
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["fgl", "check"], [1, 2]),  # a list where an object belongs
+    (["fgl", "check"], {"spec": {"kind": "p-adic", "p": 2, "K": 4}}),  # no "F"
+    (["group", "inv", "--x", "2,2,2", "--group"], {"law": 3}),
+    (["atlas", "validate", "--level", "1", "--extension"], {"L": []}),
+])
+def test_wrong_json_shape_is_data_error(tmp_path, capsys, argv, content):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, argv + [str(path)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ShapeError: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_flag_conflicts_are_usage_errors(samples, capsys):
     code, out, err = run(capsys, ["fgl", "transport", "multiplicative"])
     assert code == 2 and "usage:" in err

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from oracles import poly_add, poly_mul, poly_truncate
 from prostd.errors import (
     EnumerationBoundError,
     MaximalIdealError,
@@ -105,6 +106,21 @@ def test_ring_axioms_random():
             assert a * b == b * a
             assert a + (-a) == Coefficient.zero(spec)
             assert a * Coefficient.one(spec) == a
+
+
+def test_nested_arithmetic_matches_integer_oracle():
+    rng = random.Random(17)
+    for spec in (nested(padic(2, 4), 2, 4), nested(padic(3, 3), 3, 3)):
+        q = spec.base.modulus
+        xs = sample(spec, rng, 16)
+        for a, b in zip(xs, xs[1:]):
+            b = b - a  # a + b then cancels every coefficient of a
+            pa, pb = dict(a.payload), dict(b.payload)
+            for got, exact in ((a + b, poly_add(pa, pb)), (a * b, poly_mul(pa, pb))):
+                expect = {alpha: c % q for alpha, c in poly_truncate(exact, spec.Dt).items()
+                          if c % q}
+                assert [alpha for alpha, _ in got.payload] == sorted(expect, key=grlex_key)
+                assert dict(got.payload) == expect
 
 
 # -- valuation and reduction ----------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from oracles import poly_eval, poly_mul, poly_truncate
+from oracles import poly_add, poly_eval, poly_mul, poly_truncate
 from prostd.errors import (
     MaximalIdealError,
     ShapeError,
@@ -12,6 +12,7 @@ from prostd.rings import (
     Coefficient,
     PrecisionReduction,
     eqchar,
+    grlex_key,
     nested,
     padic,
     parse_coefficient,
@@ -82,8 +83,26 @@ def test_mul_matches_integer_oracle():
         pb = {alpha: int(c) for alpha, c in b.terms}
         expect = {alpha: c % 125 for alpha, c in poly_truncate(poly_mul(pa, pb), D).items()
                   if c % 125}
-        got = {alpha: int(c) for alpha, c in (a * b).terms}
-        assert got == expect
+        got = a * b
+        assert [alpha for alpha, _ in got.terms] == sorted(expect, key=grlex_key)
+        assert {alpha: int(c) for alpha, c in got.terms} == expect
+
+
+def test_add_matches_integer_oracle():
+    spec = padic(5, 3)
+    rng = random.Random(22)
+    D = 5
+    for _ in range(10):
+        a = rand_series(spec, 2, D, rng)
+        # b cancels about half of a's terms, so some sums vanish
+        cancel = Series.make(spec, 2, D, [t for t in a.terms if rng.random() < 0.5])
+        b = rand_series(spec, 2, D, rng) - cancel
+        pa = {alpha: int(c) for alpha, c in a.terms}
+        pb = {alpha: int(c) for alpha, c in b.terms}
+        expect = {alpha: c % 125 for alpha, c in poly_add(pa, pb).items() if c % 125}
+        got = a + b
+        assert [alpha for alpha, _ in got.terms] == sorted(expect, key=grlex_key)
+        assert {alpha: int(c) for alpha, c in got.terms} == expect
 
 
 def test_evaluate_matches_integer_oracle():

@@ -6,12 +6,48 @@ import pathlib
 import prostd
 
 
+def _sources():
+    for path in sorted(pathlib.Path(prostd.__file__).resolve().parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def test_no_assert_statements_in_src():
     # invariants that protect exactness must survive python -O, which strips
     # assert statements; raise an errors.py exception instead
     found = []
-    for path in sorted(pathlib.Path(prostd.__file__).resolve().parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+    for name, tree in _sources():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def _grlex_sorts(tree):
+    """(enclosing function, line) of every sorted(...)/.sort(...) whose key
+    mentions grlex_key."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "sorted"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "sort"):
+            names = {n.id if isinstance(n, ast.Name) else n.attr
+                     for kw in node.keywords if kw.arg == "key"
+                     for n in ast.walk(kw.value) if isinstance(n, (ast.Name, ast.Attribute))}
+            if "grlex_key" in names:
+                found.append((owner, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_grlex_sorts_only_in_the_polynomial_kernel():
+    # the canonical polynomial form (summed, zero-free, truncated, graded-lex)
+    # is built by rings.collect alone; a second sort is a second copy of it
+    allowed = {("rings.py", "collect"), ("rings.py", "bounded_exponents")}
+    found = [f"{name}:{line} ({owner})" for name, tree in _sources()
+             for owner, line in _grlex_sorts(tree) if (name, owner) not in allowed]
+    assert not found, f"graded-lex sorts outside rings.collect: {found}"
