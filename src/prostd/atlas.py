@@ -26,11 +26,11 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import EnumerationBoundError, ExtensionDataError, ShapeError, _json_shape
+from .errors import ExtensionDataError, ShapeError, _json_shape
 from .fgl import FormalGroupLaw
 from .rings import Coefficient, RingSpec, random_ideal_element
 from .series import Series, SeriesTuple, compose, constancy
-from .stdgrp import StandardGroup, default_bound
+from .stdgrp import StandardGroup, _enumeration_guard, default_bound
 from .words import WordExpr, WordSeries, _CayleyTable
 
 
@@ -57,17 +57,13 @@ class CosetTable:
             if self.mul.get((t, r)) not in els:
                 raise ExtensionDataError(f"multiplication table incomplete at ({t}, {r})")
         for t in els:
-            if self.mul[(self.identity, t)] != t or self.mul[(t, self.identity)] != t:
-                raise ExtensionDataError(f"identity fails at {t}")
             if self.inv.get(t) not in els:
                 raise ExtensionDataError(f"inverse table incomplete at {t}")
-            if self.mul[(t, self.inv[t])] != self.identity or \
-               self.mul[(self.inv[t], t)] != self.identity:
-                raise ExtensionDataError(f"inverse fails at {t}")
-        for t, r, q in itertools.product(els, repeat=3):
-            if self.mul[(self.mul[(t, r)], q)] != self.mul[(t, self.mul[(r, q)])]:
-                raise ExtensionDataError(
-                    f"coset table is not associative at ({t}, {r}, {q})")
+        failures = _pointwise_failures(
+            itertools.product(els, repeat=3), lambda t, r: self.mul[(t, r)],
+            self.inv.get, self.identity, str, limit=1)
+        if failures:
+            raise ExtensionDataError(failures[0])
         return self
 
 
@@ -101,7 +97,6 @@ class TransversalData:
     T: CosetTable
     C: dict = field(default_factory=dict)
     A: dict = field(default_factory=dict)
-    split: bool = True
 
     def __post_init__(self):
         d, spec, D = self.L.d, self.L.law.spec, self.L.law.D
@@ -117,8 +112,11 @@ class TransversalData:
                len(labels) != (2 if key[0] == "mul" else 1):
                 raise ExtensionDataError(f"bad correction key {key!r}")
             _check_chart_series(S, d, spec, D, f"A[{key}]")
-        if self.split and self.A:
-            raise ExtensionDataError("split data must not carry corrections")
+
+    @property
+    def split(self) -> bool:
+        """Split data are exactly the data without chart corrections."""
+        return not self.A
 
     # -- chart-series accessors ---------------------------------------------
 
@@ -164,7 +162,6 @@ class TransversalData:
             T=self.T,
             C={t: S.map_coefficients(phi) for t, S in self.C.items()},
             A={k: S.map_coefficients(phi) for k, S in self.A.items()},
-            split=self.split,
         )
         report = validate_transversal(data, samples=32, seed=7)
         if not report.ok:
@@ -203,23 +200,22 @@ def split_extension(L: StandardGroup, T: CosetTable, action: dict) -> Transversa
         raise ExtensionDataError("action of the identity coset must be the identity series")
     x_blk = SeriesTuple.block(spec, 2 * d, D, 0, d)
     y_blk = SeriesTuple.block(spec, 2 * d, D, d, d)
+
+    def require_equal(lhs, rhs, failure):
+        # every series compared here has zero constant terms, so a constant
+        # difference is zero
+        bad = constancy(lhs - rhs)
+        if not bad.constant:
+            raise ExtensionDataError(f"{failure}, witness {bad.witness_name()}")
+
     for t, S in action.items():
-        lhs = compose(S, law.F)
-        rhs = compose(law.F, compose(S, x_blk).concat(compose(S, y_blk)))
-        diff = lhs - rhs
-        bad = constancy(diff)
-        if not bad.constant or any(not c.is_zero for c in bad.constants):
-            raise ExtensionDataError(
-                f"action[{t}] fails the automorphism check, witness {bad.witness_name()}")
+        require_equal(compose(S, law.F),
+                      compose(law.F, compose(S, x_blk).concat(compose(S, y_blk))),
+                      f"action[{t}] fails the automorphism check")
     for t, r in itertools.product(T.elements, repeat=2):
-        lhs = compose(action[t], action[r])
-        rhs = action[T.mul[(r, t)]]
-        diff = lhs - rhs
-        bad = constancy(diff)
-        if not bad.constant or any(not c.is_zero for c in bad.constants):
-            raise ExtensionDataError(
-                f"action is incompatible at ({t}, {r}), witness {bad.witness_name()}")
-    return TransversalData(L=L, T=T, C=dict(action), A={}, split=True)
+        require_equal(compose(action[t], action[r]), action[T.mul[(r, t)]],
+                      f"action is incompatible at ({t}, {r})")
+    return TransversalData(L=L, T=T, C=dict(action), A={})
 
 
 def direct_product(L: StandardGroup, T: CosetTable) -> TransversalData:
@@ -289,27 +285,23 @@ def validate_transversal(data: TransversalData, level: int | None = None,
                          bound: int | None = None) -> ValidationReport:
     """Check the group axioms: exhaustively on a finite quotient when
     ``level`` is given (default policy: level N+2 when small enough),
-    otherwise on pseudo-random triples."""
+    otherwise on ``samples`` >= 1 pseudo-random triples."""
+    if samples is not None and samples < 1:
+        raise ValueError(f"validation needs at least 1 sample, got {samples}")
     failures = _structural_failures(data)
-    mode = "structural"
-    checked = 0
     if failures:
-        return ValidationReport(False, mode, checked, tuple(failures))
+        return ValidationReport(False, "structural", 0, tuple(failures))
     bound = default_bound() if bound is None else bound
     if level is None and samples is None:
-        level = data.L.N + 2
         try:
-            hq = extension_quotient(data, level, bound)
-            if len(hq) ** 3 > min(bound, 50**3):
-                level, hq = None, None
-        except (EnumerationBoundError, ValueError):
-            level, hq = None, None
-        if level is None:
+            hq = extension_quotient(data, data.L.N + 2, bound)
+            _enumeration_guard(len(hq) ** 3, min(bound, 50**3))
+            level = data.L.N + 2
+        except ValueError:  # the level exceeds the precision, or the bound
             samples = 1000
     elif level is not None:
         hq = extension_quotient(data, level, bound)
-        if len(hq) ** 3 > bound:
-            raise EnumerationBoundError(len(hq) ** 3, bound)
+        _enumeration_guard(len(hq) ** 3, bound)
     if level is not None:
         mode = f"exhaustive level {level}"
         checked = len(hq) ** 3
@@ -337,11 +329,8 @@ class HQuotient:
     """Finite handle on T x (quotient of L mod m^M)."""
 
     def __init__(self, data: TransversalData, M: int, bound: int | None = None):
-        bound = default_bound() if bound is None else bound
         lq = data.L.quotient(M, bound)
-        size = len(data.T.elements) * len(lq)
-        if size > bound:
-            raise EnumerationBoundError(size, bound)
+        _enumeration_guard(len(data.T.elements) * len(lq), bound)
         self.data = data
         self.M = M
         self._lq = lq
@@ -351,14 +340,13 @@ class HQuotient:
     def __len__(self):
         return len(self.elements)
 
-    def _reduce(self, h: HElement):
-        return (h.t, tuple(c.mod_ideal_power(self.M) for c in h.coords))
-
     def mul(self, x, y):
-        return self._reduce(self.data.mul(HElement(*x), HElement(*y)))
+        h = self.data.mul(HElement(*x), HElement(*y))
+        return (h.t, self._lq._reduce(h.coords))
 
     def inv(self, x):
-        return self._reduce(self.data.inv(HElement(*x)))
+        h = self.data.inv(HElement(*x))
+        return (h.t, self._lq._reduce(h.coords))
 
 
 def extension_quotient(data: TransversalData, M: int, bound: int | None = None) -> HQuotient:
@@ -443,10 +431,8 @@ def check_marginality(w: WordExpr, data: TransversalData,
     """Is the word map constant on every coset tuple?  Returns the table of
     constants (with targets) or the first non-constant witness, iterating
     coset tuples in T-order."""
-    bound = default_bound() if bound is None else bound
     count = len(data.T.elements) ** w.k
-    if count > bound:
-        raise EnumerationBoundError(count, bound)
+    _enumeration_guard(count, bound)
     rows = []
     for cosets in itertools.product(data.T.elements, repeat=w.k):
         cs = coset_word_series(w, data, cosets)
@@ -498,4 +484,6 @@ def extension_from_json(obj: dict) -> TransversalData:
         for key, s in obj.get("A", {}).items():
             parts = key.split(":")
             A[tuple(parts)] = SeriesTuple.from_json(law.spec, s)
-        return TransversalData(L=L, T=T, C=C, A=A, split=obj.get("split", not A))
+        if A and obj.get("split"):
+            raise ExtensionDataError("split data must not carry corrections")
+        return TransversalData(L=L, T=T, C=C, A=A)

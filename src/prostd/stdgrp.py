@@ -22,6 +22,15 @@ def default_bound() -> int:
     return int(os.environ.get("PROSTD_ENUM_BOUND", 10**6))
 
 
+def _enumeration_guard(size: int, bound: int | None) -> int:
+    """Raise EnumerationBoundError when size exceeds the bound (None: the
+    default bound); return the bound used."""
+    bound = default_bound() if bound is None else bound
+    if size > bound:
+        raise EnumerationBoundError(size, bound)
+    return bound
+
+
 @dataclass(frozen=True)
 class GroupElement:
     group: StandardGroup
@@ -134,9 +143,7 @@ class QuotientGroup:
         bound = default_bound() if bound is None else bound
         spec = group.law.spec
         reps = representatives(spec, group.N, M, bound)
-        size = len(reps) ** group.law.d
-        if size > bound:
-            raise EnumerationBoundError(size, bound)
+        _enumeration_guard(len(reps) ** group.law.d, bound)
         self.group = group
         self.M = M
         self.elements = [coords for coords in itertools.product(reps, repeat=group.law.d)]

@@ -8,7 +8,8 @@ Grammar for word text:
 
 ``[u,v]`` is the commutator u^-1 v^-1 u v.  Words are stored freely
 reduced; the generator count k is the highest index mentioned in the text,
-even when that generator cancels away.
+even when that generator cancels away.  Expansion is eager, so the letter
+count before reduction is held to the enumeration bound.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import EnumerationBoundError, WordSyntaxError
+from .errors import WordSyntaxError
 from .fgl import FormalGroupLaw
 from .series import SeriesTuple, compose
-from .stdgrp import default_bound
+from .stdgrp import _enumeration_guard, default_bound
 
 
 def _reduce(letters) -> tuple[tuple[int, int], ...]:
@@ -60,6 +61,7 @@ class WordExpr:
     def power(self, n: int) -> WordExpr:
         if n < 1:
             raise ValueError("word powers take n >= 1")
+        _enumeration_guard(len(self.letters) * n, None)
         return WordExpr(self.k, _reduce(self.letters * n))
 
     def evaluate(self, group, args):
@@ -89,9 +91,10 @@ class WordExpr:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, bound: int):
         self.text = text
         self.pos = 0
+        self.bound = bound
 
     def error(self, message: str):
         raise WordSyntaxError(message, self.pos)
@@ -141,7 +144,9 @@ class _Parser:
                 self.error("expected ']'")
             self.pos += 1
             inv = lambda ls: [(g, -s) for g, s in reversed(ls)]
-            return inv(u) + inv(v) + u + v, max(ku, kv)
+            letters = inv(u) + inv(v) + u + v
+            _enumeration_guard(len(letters), self.bound)
+            return letters, max(ku, kv)
         self.error("expected a generator, '(' or '['")
 
     def factor(self):
@@ -151,6 +156,7 @@ class _Parser:
             self.pos += 1
             self.skip_ws()
             n = self.integer()
+            _enumeration_guard(len(letters) * abs(n), self.bound)
             if n == 0:
                 letters = []
             elif n < 0:
@@ -167,13 +173,14 @@ class _Parser:
         while self.pos < len(self.text) and self.peek() not in ")],":
             ls, kk = self.factor()
             letters += ls
+            _enumeration_guard(len(letters), self.bound)
             k = max(k, kk)
             self.skip_ws()
         return letters, k
 
 
 def parse_word(text: str) -> WordExpr:
-    parser = _Parser(text)
+    parser = _Parser(text, default_bound())
     letters, k = parser.word()
     if parser.pos < len(text):
         parser.error(f"unexpected character {text[parser.pos]!r}")
@@ -208,13 +215,6 @@ def word_series(w: WordExpr, law: FormalGroupLaw) -> WordSeries:
 
 # --------------------------------------------------------------------------
 # image, verbal and marginal subgroups on finite group handles
-
-
-def _tuple_guard(size: int, bound: int | None) -> int:
-    bound = default_bound() if bound is None else bound
-    if size > bound:
-        raise EnumerationBoundError(size, bound)
-    return bound
 
 
 class _CayleyTable:
@@ -309,13 +309,13 @@ def _image(w: WordExpr, view) -> set:
 
 def word_image(w: WordExpr, group, bound: int | None = None) -> set:
     """w{G} = all word values over a finite group handle."""
-    view = _view(w, group, _tuple_guard(len(group.elements) ** w.k, bound))
+    view = _view(w, group, _enumeration_guard(len(group.elements) ** w.k, bound))
     return view.lift(_image(w, view))
 
 
 def verbal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
     """The subgroup generated by the word image."""
-    view = _view(w, group, _tuple_guard(len(group.elements) ** w.k, bound))
+    view = _view(w, group, _enumeration_guard(len(group.elements) ** w.k, bound))
     image = _image(w, view)
     gens = image | {view.inv(g) for g in image}
     mul = view.mul
@@ -335,7 +335,7 @@ def verbal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
 
 def marginal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
     """Elements g with w(.., g*x_i, ..) = w(.., x_i, ..) in every slot, always."""
-    view = _view(w, group, _tuple_guard(len(group.elements) ** (w.k + 1), bound))
+    view = _view(w, group, _enumeration_guard(len(group.elements) ** (w.k + 1), bound))
     evaluate, mul = view.evaluator(w), view.mul
     # each argument tuple is evaluated once; a shift is a lookup of its value
     values = {args: evaluate(args) for args in itertools.product(view.elements, repeat=w.k)}

@@ -22,7 +22,7 @@ from prostd.atlas import (
     split_extension,
     validate_transversal,
 )
-from prostd.errors import EnumerationBoundError, ExtensionDataError, ShapeError
+from prostd.errors import EnumerationBoundError, ExtensionDataError, MaximalIdealError, ShapeError
 from prostd.fgl import builtin
 from prostd.rings import Coefficient, eqchar, padic, random_ideal_element
 from prostd.series import Series, SeriesTuple
@@ -58,6 +58,12 @@ def test_coset_table_check():
     skipped = coset_table(T.elements, "1", bad, T.inv, check=False)
     with pytest.raises(ExtensionDataError):
         skipped.check()
+    # identity and inverses hold, but (a a) a = 1 while a (a a) = b
+    els = ("1", "a", "b")
+    mul = {("1", t): t for t in els} | {(t, "1"): t for t in els}
+    mul |= {("a", "a"): "b", ("a", "b"): "b", ("b", "a"): "1", ("b", "b"): "a"}
+    with pytest.raises(ExtensionDataError, match=r"^associativity fails at \(a, a, a\)$"):
+        coset_table(els, "1", mul, {"1": "1", "a": "b", "b": "a"})
 
 
 # -- construction guards -----------------------------------------------------------------
@@ -69,12 +75,9 @@ def test_transversal_structure_guards():
     ident = identity_series(L.law.spec, 1, 4)
     with pytest.raises(ExtensionDataError, match="cover exactly T"):
         TransversalData(L=L, T=T, C={"1": ident})
-    with pytest.raises(ExtensionDataError, match="must not carry corrections"):
-        TransversalData(L=L, T=T, C={"1": ident, "s": ident},
-                        A={("mul", "s", "s"): ident}, split=True)
     with pytest.raises(ExtensionDataError, match="bad correction key"):
         TransversalData(L=L, T=T, C={"1": ident, "s": ident},
-                        A={("mul", "s"): ident}, split=False)
+                        A={("mul", "s"): ident})
     shifted = SeriesTuple.of(ident[0] + Series.constant(L.law.spec, 1, 4, 1))
     with pytest.raises(ExtensionDataError, match="constant"):
         TransversalData(L=L, T=T, C={"1": ident, "s": shifted})
@@ -150,6 +153,9 @@ def test_validate_sampled_mode():
     assert report.ok and report.mode == "sampled 40" and report.checked == 40
     auto = validate_transversal(data)
     assert auto.ok and auto.mode == "sampled 1000"
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="at least 1 sample"):
+            validate_transversal(data, samples=samples)
 
 
 def test_validate_flags_corrupt_data():
@@ -168,7 +174,7 @@ def test_validate_flags_corrupt_data():
     x = identity_series(L.law.spec, 1, 4)[0]
     skew = TransversalData(L=L, T=T,
                            C={"1": SeriesTuple.of(x), "s": SeriesTuple.of(x + x * x)},
-                           A={}, split=False)
+                           A={})
     report = validate_transversal(skew, level=4)
     assert not report.ok and report.checked == 16**3
     assert report.failures == (
@@ -189,7 +195,7 @@ L = StandardGroup(builtin("additive", padic(2, 4), 4), 1)
 x = SeriesTuple.block(L.law.spec, 1, 4, 0, 1)[0]
 data = TransversalData(L=L, T=cyclic_table(2),
                        C={"1": SeriesTuple.of(x), "s": SeriesTuple.of(x)},
-                       A={("inv", "s"): SeriesTuple.of(x + x * x)}, split=False)
+                       A={("inv", "s"): SeriesTuple.of(x + x * x)})
 print(validate_transversal(data, samples=30, seed=0).failures)
 """
 
@@ -214,6 +220,15 @@ def test_quotient_bound():
     data = inversion_extension(additive_group())
     with pytest.raises(EnumerationBoundError):
         extension_quotient(data, 4, bound=10)
+
+
+def test_quotient_checks_closure():
+    # coordinates reduce through the L-quotient, which checks membership
+    hq = extension_quotient(inversion_extension(additive_group()), 3)
+    x = hq.elements[1]
+    hq._lq._index.discard(hq.mul(x, x)[1])
+    with pytest.raises(MaximalIdealError, match="not closed under mul and inv"):
+        hq.mul(x, x)
 
 
 # -- coset word series -------------------------------------------------------------------
@@ -311,8 +326,12 @@ def test_extension_json_roundtrip():
     # corrections survive the round trip, keys and all
     ident = identity_series(L.law.spec, 1, 4)
     noisy = TransversalData(L=L, T=data.T, C=dict(data.C),
-                            A={("mul", "s", "s"): ident, ("inv", "s"): ident},
-                            split=False)
-    back = extension_from_json(extension_to_json(noisy))
+                            A={("mul", "s", "s"): ident, ("inv", "s"): ident})
+    obj = extension_to_json(noisy)
+    assert obj["split"] is False
+    back = extension_from_json(obj)
     assert set(back.A) == {("mul", "s", "s"), ("inv", "s")}
     assert not back.split
+    obj["split"] = True
+    with pytest.raises(ExtensionDataError, match="must not carry corrections"):
+        extension_from_json(obj)

@@ -80,6 +80,10 @@ def test_domain_errors_exit_one(samples, capsys):
     assert code == 1 and "WordSyntaxError" in err
     code, out, err = run(capsys, ["group", "inv", "--x", "1", "--law", "additive"])
     assert code == 1 and "MaximalIdealError" in err
+    code, out, err = run(capsys, ["atlas", "validate", "--extension",
+                                  str(samples / "inversion_p2.json"), "--samples", "-5"])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ValueError: ") and err.count("\n") == 1
 
 
 def test_unknown_command_exits_two(capsys):

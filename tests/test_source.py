@@ -21,26 +21,38 @@ def test_no_assert_statements_in_src():
     assert not found, f"assert statements in the package: {found}"
 
 
-def _grlex_sorts(tree):
-    """(enclosing function, line) of every sorted(...)/.sort(...) whose key
-    mentions grlex_key."""
+def _calls(tree):
+    """(enclosing function, node) of every call in the tree."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call) and (
-                isinstance(node.func, ast.Name) and node.func.id == "sorted"
-                or isinstance(node.func, ast.Attribute) and node.func.attr == "sort"):
+        if isinstance(node, ast.Call):
+            found.append((owner, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def _callee(call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _grlex_sorts(tree):
+    """(enclosing function, line) of every sorted(...)/.sort(...) whose key
+    mentions grlex_key."""
+    found = []
+    for owner, node in _calls(tree):
+        if _callee(node) in ("sorted", "sort"):
             names = {n.id if isinstance(n, ast.Name) else n.attr
                      for kw in node.keywords if kw.arg == "key"
                      for n in ast.walk(kw.value) if isinstance(n, (ast.Name, ast.Attribute))}
             if "grlex_key" in names:
                 found.append((owner, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(tree, None)
     return found
 
 
@@ -51,3 +63,13 @@ def test_grlex_sorts_only_in_the_polynomial_kernel():
     found = [f"{name}:{line} ({owner})" for name, tree in _sources()
              for owner, line in _grlex_sorts(tree) if (name, owner) not in allowed]
     assert not found, f"graded-lex sorts outside rings.collect: {found}"
+
+
+def test_enumeration_bound_raised_only_by_the_shared_guard():
+    # "resolve the default bound, compare, raise" lives in one place;
+    # rings.representatives keeps its own check, since there None means no bound
+    allowed = {("stdgrp.py", "_enumeration_guard"), ("rings.py", "representatives")}
+    found = [f"{name}:{node.lineno} ({owner})" for name, tree in _sources()
+             for owner, node in _calls(tree)
+             if _callee(node) == "EnumerationBoundError" and (name, owner) not in allowed]
+    assert not found, f"EnumerationBoundError raised outside the shared guard: {found}"

@@ -55,6 +55,22 @@ def test_parse_errors_carry_positions():
         parse_word("x1^")
 
 
+def test_word_size_is_bounded(monkeypatch):
+    # word text expands eagerly, so its letter count is held to the bound
+    monkeypatch.setenv("PROSTD_ENUM_BOUND", "1000")
+    assert len(parse_word("x1^1000").letters) == 1000
+    nested = "x1"
+    for _ in range(10):
+        nested = f"[{nested}, x2]"
+    for text in ["x1^5000", "x1^-5000", "x1^600 x2^600", nested]:
+        with pytest.raises(EnumerationBoundError):
+            parse_word(text)
+    commutator = parse_word("[x1, x2]")
+    assert len(commutator.power(250).letters) == 1000
+    with pytest.raises(EnumerationBoundError):
+        commutator.power(600)
+
+
 def test_text_roundtrip():
     for text in ["x1", "x1^3 x2^-2", "[x1, x2]", "x1^3 [x2, x1]^2", "(x1 x2^-1)^4"]:
         w = parse_word(text)
