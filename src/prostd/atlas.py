@@ -16,8 +16,9 @@ The group operation and its symbolic shadow are
     (t, l) * (r, m) = (t·r, A_mul[t,r](F(C_r(l), m)))
     (t, l)^-1       = (t^-1, A_inv[t](C_{t^-1}(I(l))))
 
-and a word w with arguments constrained to cosets (t_1, .., t_k) folds to
-one series per coset tuple, exactly as the product formula iterates.
+where identity charts C_r are marked once, at construction, and skipped.
+A word w with arguments constrained to cosets (t_1, .., t_k) folds to one
+series per coset tuple by ``words._fold``, which also serves ``word_series``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from dataclasses import dataclass, field
 from .errors import ExtensionDataError, ShapeError, _json_shape
 from .fgl import FormalGroupLaw
 from .rings import Coefficient, RingSpec, random_ideal_element
-from .series import Series, SeriesTuple, compose, constancy
+from .series import SeriesTuple, compose, constancy
 from .stdgrp import StandardGroup, _enumeration_guard, default_bound
-from .words import WordExpr, WordSeries, _CayleyTable
+from .words import WordExpr, _CayleyTable, _apply, _fold
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,20 +113,14 @@ class TransversalData:
                len(labels) != (2 if key[0] == "mul" else 1):
                 raise ExtensionDataError(f"bad correction key {key!r}")
             _check_chart_series(S, d, spec, D, f"A[{key}]")
+        # identity charts are marked once, here: products skip cosets not in charts
+        ident = _identity_series(spec, d, D)
+        object.__setattr__(self, "charts", {t: S for t, S in self.C.items() if S != ident})
 
     @property
     def split(self) -> bool:
         """Split data are exactly the data without chart corrections."""
         return not self.A
-
-    # -- chart-series accessors ---------------------------------------------
-
-    def correction(self, key) -> SeriesTuple | None:
-        return self.A.get(key)
-
-    def _apply_correction(self, key, coords):
-        S = self.A.get(key)
-        return coords if S is None else S.evaluate(coords)
 
     # -- group operations ----------------------------------------------------
 
@@ -140,18 +135,17 @@ class TransversalData:
         return HElement(t, self.L.element(coords).coords)
 
     def mul(self, x: HElement, y: HElement) -> HElement:
-        law = self.L.law
-        v = self.C[y.t].evaluate(x.coords)
-        v = law.F.evaluate(v + y.coords)
-        v = self._apply_correction(("mul", x.t, y.t), v)
+        if len(x.coords) != self.L.d:  # F sees x and y only concatenated
+            raise ShapeError(f"expected {self.L.d} arguments, got {len(x.coords)}")
+        v = _apply(self.charts, y.t, x.coords, SeriesTuple.evaluate)
+        v = self.L.law.F.evaluate(v + y.coords)
+        v = _apply(self.A, ("mul", x.t, y.t), v, SeriesTuple.evaluate)
         return HElement(self.T.mul[(x.t, y.t)], v)
 
     def inv(self, x: HElement) -> HElement:
-        law = self.L.law
         r = self.T.inv[x.t]
-        v = law.I.evaluate(x.coords)
-        v = self.C[r].evaluate(v)
-        v = self._apply_correction(("inv", x.t), v)
+        v = _apply(self.charts, r, self.L.law.I.evaluate(x.coords), SeriesTuple.evaluate)
+        v = _apply(self.A, ("inv", x.t), v, SeriesTuple.evaluate)
         return HElement(r, v)
 
     def map_coefficients(self, phi) -> TransversalData:
@@ -294,13 +288,13 @@ def validate_transversal(data: TransversalData, level: int | None = None,
     bound = default_bound() if bound is None else bound
     if level is None and samples is None:
         try:
-            hq = extension_quotient(data, data.L.N + 2, bound)
+            hq = HQuotient(data, data.L.N + 2, bound)
             _enumeration_guard(len(hq) ** 3, min(bound, 50**3))
             level = data.L.N + 2
         except ValueError:  # the level exceeds the precision, or the bound
             samples = 1000
     elif level is not None:
-        hq = extension_quotient(data, level, bound)
+        hq = HQuotient(data, level, bound)
         _enumeration_guard(len(hq) ** 3, bound)
     if level is not None:
         mode = f"exhaustive level {level}"
@@ -349,10 +343,6 @@ class HQuotient:
         return (h.t, self._lq._reduce(h.coords))
 
 
-def extension_quotient(data: TransversalData, M: int, bound: int | None = None) -> HQuotient:
-    return HQuotient(data, M, bound)
-
-
 # --------------------------------------------------------------------------
 # coset-constrained word series
 
@@ -374,29 +364,7 @@ def coset_word_series(w: WordExpr, data: TransversalData,
     for t in cosets:
         if t not in data.T.elements:
             raise ExtensionDataError(f"unknown coset label {t!r}")
-    law = data.L.law
-    d, spec, D = law.d, law.spec, law.D
-    nv = d * w.k
-    cur = data.T.identity
-    acc = SeriesTuple.zeros(spec, d, nv, D)
-    for gen, sign in w.letters:
-        block = SeriesTuple.block(spec, nv, D, (gen - 1) * d, d)
-        if sign > 0:
-            r = cosets[gen - 1]
-            u = block
-        else:
-            t = cosets[gen - 1]
-            r = data.T.inv[t]
-            u = compose(data.C[r], compose(law.I, block))
-            corr = data.correction(("inv", t))
-            if corr is not None:
-                u = compose(corr, u)
-        acc = compose(law.F, compose(data.C[r], acc).concat(u))
-        corr = data.correction(("mul", cur, r))
-        if corr is not None:
-            acc = compose(corr, acc)
-        cur = data.T.mul[(cur, r)]
-    return CosetWordSeries(w, tuple(cosets), cur, acc)
+    return CosetWordSeries(w, tuple(cosets), *_fold(w, data.L.law, data, cosets))
 
 
 @dataclass(frozen=True)

@@ -28,10 +28,12 @@ from .rings import (
     Coefficient,
     CoefficientMap,
     RingSpec,
+    _rep_count,
     parse_coefficient,
     representatives,
     specialise,
 )
+from .stdgrp import _enumeration_guard
 from .words import WordExpr
 
 
@@ -73,8 +75,10 @@ def ideal_grid(spec: RingSpec, depth: int) -> list[tuple[Coefficient, ...]]:
     deterministic product order."""
     if spec.kind != NESTED:
         raise RingMismatchError("grids index specialisation points of nested rings")
-    axis = representatives(spec.base, 1, depth)
-    return [pt for pt in itertools.product(axis, repeat=spec.m)]
+    if not 1 <= depth <= spec.base.K:
+        raise ValueError(f"grid depth must be in 1..{spec.base.K}, got {depth}")
+    _enumeration_guard(_rep_count(spec.base, 1, depth) ** spec.m, None)
+    return list(itertools.product(representatives(spec.base, 1, depth), repeat=spec.m))
 
 
 # --------------------------------------------------------------------------

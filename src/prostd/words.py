@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .errors import WordSyntaxError
 from .fgl import FormalGroupLaw
@@ -200,17 +201,43 @@ class WordSeries:
     W: SeriesTuple
 
 
-def word_series(w: WordExpr, law: FormalGroupLaw) -> WordSeries:
-    """Fold the law over the word: d series in d*k variables, one block of d
-    per generator, with W(0) = 0."""
+def _apply(series, key, x, apply):
+    """apply(series[key], x); a missing key stands for the identity series."""
+    S = series.get(key)
+    return x if S is None else apply(S, x)
+
+
+def _fold(w: WordExpr, law: FormalGroupLaw, ext, cosets) -> tuple[str, SeriesTuple]:
+    """The one word fold: iterate the product formula of ``atlas`` over an
+    extension ``ext`` (coset table T, non-identity charts, corrections A) with
+    argument i on coset cosets[i-1].  Returns the target coset and d series
+    in d*k variables with W(0) = 0; identity charts cost no composition."""
     d, spec, D = law.d, law.spec, law.D
     nv = d * w.k
+    cur = ext.T.identity
     acc = SeriesTuple.zeros(spec, d, nv, D)
     for gen, sign in w.letters:
-        block = SeriesTuple.block(spec, nv, D, (gen - 1) * d, d)
-        arg = block if sign > 0 else compose(law.I, block)
-        acc = compose(law.F, acc.concat(arg))
-    return WordSeries(w, d, acc)
+        t = r = cosets[gen - 1]
+        u = SeriesTuple.block(spec, nv, D, (gen - 1) * d, d)
+        if sign < 0:
+            r = ext.T.inv[t]
+            u = _apply(ext.charts, r, compose(law.I, u), compose)
+            u = _apply(ext.A, ("inv", t), u, compose)
+        acc = compose(law.F, _apply(ext.charts, r, acc, compose).concat(u))
+        acc = _apply(ext.A, ("mul", cur, r), acc, compose)
+        cur = ext.T.mul[(cur, r)]
+    return cur, acc
+
+
+# word_series folds over the trivial extension: one coset, no charts or corrections
+_TRIVIAL = SimpleNamespace(T=SimpleNamespace(identity="1", mul={("1", "1"): "1"}, inv={"1": "1"}),
+                           charts={}, A={})
+
+
+def word_series(w: WordExpr, law: FormalGroupLaw) -> WordSeries:
+    """The word map as d series in d*k variables, one block of d per
+    generator, with W(0) = 0."""
+    return WordSeries(w, law.d, _fold(w, law, _TRIVIAL, ("1",) * w.k)[1])
 
 
 # --------------------------------------------------------------------------

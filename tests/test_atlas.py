@@ -9,6 +9,7 @@ import pytest
 import prostd
 from prostd.atlas import (
     HElement,
+    HQuotient,
     TransversalData,
     check_marginality,
     coset_table,
@@ -16,7 +17,6 @@ from prostd.atlas import (
     cyclic_table,
     direct_product,
     extension_from_json,
-    extension_quotient,
     extension_to_json,
     inversion_extension,
     split_extension,
@@ -25,11 +25,11 @@ from prostd.atlas import (
 from prostd.errors import EnumerationBoundError, ExtensionDataError, MaximalIdealError, ShapeError
 from prostd.fgl import builtin
 from prostd.rings import Coefficient, eqchar, padic, random_ideal_element
-from prostd.series import Series, SeriesTuple
+from prostd.series import Series, SeriesTuple, compose
 from prostd.specialise import Specialisation
 from prostd.rings import PrecisionReduction, nested
 from prostd.stdgrp import StandardGroup
-from prostd.words import parse_word
+from prostd.words import parse_word, word_series
 
 
 def additive_group(p=2, K=4, D=4, N=1):
@@ -111,7 +111,7 @@ def test_inversion_extension_matches_unit_group_model():
     q = 27
     L = StandardGroup(builtin("multiplicative", padic(3, 3), 6), 1)
     data = inversion_extension(L)
-    hq = extension_quotient(data, 3)
+    hq = HQuotient(data, 3)
     assert len(hq) == 18
 
     def to_model(x):
@@ -219,16 +219,25 @@ def test_validate_sampled_failures_ignore_hash_seed():
 def test_quotient_bound():
     data = inversion_extension(additive_group())
     with pytest.raises(EnumerationBoundError):
-        extension_quotient(data, 4, bound=10)
+        HQuotient(data, 4, bound=10)
 
 
 def test_quotient_checks_closure():
     # coordinates reduce through the L-quotient, which checks membership
-    hq = extension_quotient(inversion_extension(additive_group()), 3)
+    hq = HQuotient(inversion_extension(additive_group()), 3)
     x = hq.elements[1]
     hq._lq._index.discard(hq.mul(x, x)[1])
     with pytest.raises(MaximalIdealError, match="not closed under mul and inv"):
         hq.mul(x, x)
+
+
+def test_mul_checks_coordinate_counts():
+    # the identity chart of coset 1 is skipped, so x's count is checked apart
+    L = StandardGroup(builtin("heisenberg", padic(2, 4), 4), 1)
+    data = direct_product(L, cyclic_table(2))
+    two = Coefficient.make(L.law.spec, 2)
+    with pytest.raises(ShapeError, match="expected 3 arguments, got 2"):
+        data.mul(HElement("1", (two,) * 2), HElement("1", (two,) * 4))
 
 
 # -- coset word series -------------------------------------------------------------------
@@ -245,20 +254,86 @@ def test_coset_word_series_guards():
 
 def test_coset_word_series_pointwise():
     L = StandardGroup(builtin("multiplicative", padic(3, 3), 6), 1)
-    data = inversion_extension(L)
+    split = inversion_extension(L)
+    # the identity chart C[1], the inversion chart C[s] and the ("inv", s)
+    # correction x + x^2 together (not a group, but both folds iterate the
+    # same product formula)
+    x = identity_series(L.law.spec, 1, 6)[0]
+    corrected = TransversalData(L=L, T=split.T, C=dict(split.C),
+                                A={("inv", "s"): SeriesTuple.of(x + x * x)})
+    assert set(split.charts) == set(corrected.charts) == {"s"}
     rng = random.Random(23)
     spec = L.law.spec
-    for text in ["x1^2", "[x1, x2]", "x1 x2^-1 x1"]:
+    for data in (split, corrected):
+        for text in ["x1^2", "[x1, x2]", "x1 x2^-1 x1"]:
+            w = parse_word(text)
+            for cosets in [("1",) * w.k, ("s",) * w.k, ("s", "1")[: w.k]]:
+                cs = coset_word_series(w, data, cosets)
+                for _ in range(6):
+                    args = [HElement(t, (random_ideal_element(spec, 1, rng),))
+                            for t in cosets]
+                    folded = w.evaluate(data, args)
+                    assert folded.t == cs.target
+                    flat = tuple(c for h in args for c in h.coords)
+                    assert cs.W.evaluate(flat) == folded.coords
+
+
+def test_coset_word_series_on_trivial_extension_is_word_series():
+    for law, texts in [(builtin("heisenberg", padic(2, 4), 4), ["[x1, x2]", "x1^-2 x2 x1"]),
+                       (builtin("multiplicative", padic(3, 3), 6),
+                        ["x1^2", "x1 x2^-1 x3^-1 x1", "[x1, x2]^2"])]:
+        trivial = direct_product(StandardGroup(law, 1), cyclic_table(1))
+        for text in texts:
+            w = parse_word(text)
+            cs = coset_word_series(w, trivial, ("1",) * w.k)
+            assert cs.target == "1" and cs.W == word_series(w, law).W
+
+
+def _count_compositions(monkeypatch):
+    calls = []
+
+    def counting(outer, inner):
+        calls.append(None)
+        return compose(outer, inner)
+
+    for module in (prostd.words, prostd.atlas):
+        monkeypatch.setattr(module, "compose", counting)
+    return calls
+
+
+def test_word_fold_skips_identity_charts(monkeypatch):
+    # the extensions of the sample data: identity charts cost no composition
+    inversion_p2 = inversion_extension(
+        StandardGroup(builtin("additive", nested(eqchar(2, 3), 1, 3), 4), 1))
+    inversion_p3 = inversion_extension(
+        StandardGroup(builtin("additive", nested(padic(3, 3), 1, 3), 4), 1))
+    dirprod = direct_product(
+        StandardGroup(builtin("multiplicative", nested(padic(2, 4), 1, 4), 7), 1),
+        cyclic_table(2))
+    w = parse_word("[x1, x2]^3")
+    calls = _count_compositions(monkeypatch)
+    counts = []
+    for data in (inversion_p2, dirprod, inversion_p3):
+        calls.clear()
+        check_marginality(w, data)
+        counts.append(len(calls))
+    # 12 letters, 6 of them inverted: 18 compositions per coset tuple, plus
+    # two per inverted letter and one per plain letter on a non-identity
+    # chart; inversion_p3 stops at its second tuple, (1, s)
+    assert counts == [72, 72, 45]
+    # -x = x in characteristic 2, so both charts of inversion_p2 are the identity
+    assert inversion_p2.charts == dirprod.charts == {} and set(inversion_p3.charts) == {"s"}
+
+
+def test_word_series_composition_count(monkeypatch):
+    law = builtin("heisenberg", padic(2, 4), 4)
+    calls = _count_compositions(monkeypatch)
+    for text, n in [("x1^2", 2), ("x1 x2^-1 x1", 4), ("[x1, x2]", 6), ("[x1, x2]^3", 18),
+                    ("x1^-3 x2", 7)]:
+        calls.clear()
         w = parse_word(text)
-        for cosets in [("1",) * w.k, ("s",) * w.k, ("s", "1")[: w.k]]:
-            cs = coset_word_series(w, data, cosets)
-            for _ in range(6):
-                args = [HElement(t, (random_ideal_element(spec, 1, rng),))
-                        for t in cosets]
-                folded = w.evaluate(data, args)
-                assert folded.t == cs.target
-                flat = tuple(c for h in args for c in h.coords)
-                assert cs.W.evaluate(flat) == folded.coords
+        word_series(w, law)
+        assert len(calls) == n == len(w.letters) + sum(s < 0 for _, s in w.letters)
 
 
 # -- marginality --------------------------------------------------------------------------

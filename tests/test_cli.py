@@ -84,6 +84,11 @@ def test_domain_errors_exit_one(samples, capsys):
                                   str(samples / "inversion_p2.json"), "--samples", "-5"])
     assert code == 1 and out == ""
     assert err.startswith("error: ValueError: ") and err.count("\n") == 1
+    code, out, err = run(capsys, ["probe", "--word", "x1^2", "--extension",
+                                  str(samples / "inversion_p2.json"), "--lmax", "1",
+                                  "--grid-depth", "0"])
+    assert code == 1 and out == ""
+    assert err == "error: ValueError: grid depth must be in 1..3, got 0\n"
 
 
 def test_unknown_command_exits_two(capsys):

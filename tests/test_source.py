@@ -21,14 +21,15 @@ def test_no_assert_statements_in_src():
     assert not found, f"assert statements in the package: {found}"
 
 
-def _calls(tree):
-    """(enclosing function, node) of every call in the tree."""
+def _calls(tree, kinds=ast.Call):
+    """(enclosing function, node) of every call (or node of the given kinds)
+    in the tree."""
     found = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(node, ast.Call):
+        if isinstance(node, kinds):
             found.append((owner, node))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -73,3 +74,16 @@ def test_enumeration_bound_raised_only_by_the_shared_guard():
              for owner, node in _calls(tree)
              if _callee(node) == "EnumerationBoundError" and (name, owner) not in allowed]
     assert not found, f"EnumerationBoundError raised outside the shared guard: {found}"
+
+
+def test_one_word_fold():
+    # word_series and coset_word_series are one fold over a word's letters
+    # (the plain one runs on the trivial extension); a second function that
+    # loops over .letters and composes series is a second copy of it
+    folds = set()
+    for name, tree in _sources():
+        composers = {owner for owner, node in _calls(tree) if _callee(node) == "compose"}
+        folds |= {(name, owner) for owner, node in _calls(tree, (ast.For, ast.comprehension))
+                  if isinstance(node.iter, ast.Attribute) and node.iter.attr == "letters"
+                  and owner in composers}
+    assert folds == {("words.py", "_fold")}, f"word folds: {sorted(folds)}"

@@ -4,6 +4,7 @@ import pytest
 
 from prostd.atlas import cyclic_table, direct_product, inversion_extension
 from prostd.errors import (
+    EnumerationBoundError,
     ExactnessError,
     MaximalIdealError,
     RingMismatchError,
@@ -74,6 +75,22 @@ def test_ideal_grid():
         ["0", "1*t", "1*t^2", "1*t+1*t^2"]
     with pytest.raises(RingMismatchError):
         ideal_grid(padic(2, 3), 2)
+
+
+def test_ideal_grid_depth_and_bound(monkeypatch):
+    spec = nested(padic(2, 6), 2, 3)
+    for depth in (0, -1, 7):
+        with pytest.raises(ValueError, match=rf"^grid depth must be in 1\.\.6, got {depth}$"):
+            ideal_grid(spec, depth)
+    assert len(ideal_grid(spec, 1)) == 1 and len(ideal_grid(spec, 6)) == 32**2
+    # the 32^2 grid points count against the enumeration bound
+    monkeypatch.setenv("PROSTD_ENUM_BOUND", "1023")
+    with pytest.raises(EnumerationBoundError, match="1024"):
+        ideal_grid(spec, 6)
+    monkeypatch.setenv("PROSTD_ENUM_BOUND", "5")
+    assert len(ideal_grid(spec, 2)) == 4
+    with pytest.raises(EnumerationBoundError):
+        ideal_grid(spec, 6)
 
 
 # -- exact polynomials -------------------------------------------------------------------

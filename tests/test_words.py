@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import HeisQuotient
-from prostd.atlas import extension_quotient, inversion_extension
+from prostd.atlas import HQuotient, inversion_extension
 from prostd.errors import EnumerationBoundError, WordSyntaxError
 from prostd.fgl import builtin
 from prostd.rings import Coefficient, eqchar, padic, random_ideal_element
@@ -212,7 +212,7 @@ def _letterwise_reference(w, group):
     # x1^4 is trivial on this quotient, so only the second slot limits the marginal
     (lambda: StandardGroup(builtin("heisenberg", padic(2, 5), 5), 1).quotient(3),
      "x1^4 x2^2", True),
-    (lambda: extension_quotient(inversion_extension(
+    (lambda: HQuotient(inversion_extension(
         StandardGroup(builtin("additive", eqchar(3, 3), 4), 1)), 3),
      "[x1, x2] x1^2", True),
     # k = 1 and 3 letters on 64 elements: 192 products, below the 64^2 table
