@@ -1,12 +1,13 @@
 """Formal group laws and standard groups over truncated pro-p rings.
 
 The pieces, bottom up: `rings` (truncated coefficient arithmetic and
-specialisation points), `series` (sparse truncated multivariate series),
-`fgl` (formal group laws, axioms, inverses, catalogue), `stdgrp` (groups on
-ideal-power coordinates and their finite quotients), `words` (free-group
-words, their evaluation and symbolic series), `atlas` (finite transversal
-extensions with conjugation and correction charts), `specialise` (grid
-tests and the power probe), `cli` (command-line frontend).
+coefficient maps, specialisation included), `series` (sparse truncated
+multivariate series), `fgl` (formal group laws, axioms, inverses,
+catalogue), `stdgrp` (groups on ideal-power coordinates and their finite
+quotients), `words` (free-group words, their evaluation and symbolic
+series), `atlas` (finite transversal extensions with conjugation and
+correction charts), `specialise` (grids, exact lifts, grid tests, the power
+probe and transport coherence), `cli` (command-line frontend).
 """
 
 from .errors import (
@@ -32,7 +33,6 @@ from .rings import (
     parse_coefficient,
     representatives,
     residue_map,
-    specialise,
 )
 from .series import Series, SeriesTuple, compose, constancy, substitute
 from .fgl import FormalGroupLaw, builtin, formal_inverse, law_from_json, make_law, verify
@@ -71,6 +71,7 @@ from .specialise import (
     specialise_constants,
     transport_coherence,
 )
+from .rings import specialise  # after the submodule import, which binds the name to the module
 
 __version__ = "0.1.0"
 

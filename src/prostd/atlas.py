@@ -68,9 +68,8 @@ class CosetTable:
         return self
 
 
-def coset_table(elements, identity, mul, inv, check: bool = True) -> CosetTable:
-    table = CosetTable(tuple(elements), identity, mul, inv)
-    return table.check() if check else table
+def coset_table(elements, identity, mul, inv) -> CosetTable:
+    return CosetTable(tuple(elements), identity, mul, inv).check()
 
 
 def cyclic_table(n: int) -> CosetTable:

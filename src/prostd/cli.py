@@ -82,7 +82,10 @@ def _spec_from_args(args) -> RingSpec:
 
 def _read_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # nesting deeper than the interpreter's stack
+            raise json.JSONDecodeError("JSON nested too deeply", "", 0) from None
 
 
 def _load_law(args, ref: str):

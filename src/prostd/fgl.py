@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import LawError, ShapeError, _json_shape
-from .rings import Coefficient, RingSpec
-from .series import Series, SeriesTuple, compose, monomial_name
+from .rings import Coefficient, RingSpec, monomial_name
+from .series import Series, SeriesTuple, compose
 
 BUILTIN_LAWS = ("additive", "multiplicative", "heisenberg")
 
@@ -152,10 +152,9 @@ class FormalGroupLaw:
         }
 
 
-def make_law(F: SeriesTuple, check: bool = True) -> FormalGroupLaw:
+def make_law(F: SeriesTuple) -> FormalGroupLaw:
     d = _check_law_shape(F)
-    if check:
-        _require_law(F, "series tuple")
+    _require_law(F, "series tuple")
     return FormalGroupLaw(d, F.spec, F.D, F, formal_inverse(F))
 
 
@@ -204,11 +203,10 @@ def law_series_from_json(obj: dict) -> SeriesTuple:
     return F
 
 
-def law_from_json(obj: dict, check: bool = True) -> FormalGroupLaw:
+def law_from_json(obj: dict) -> FormalGroupLaw:
     F = law_series_from_json(obj)
     d = len(F)
-    if check:
-        _require_law(F, "law file")
+    _require_law(F, "law file")
     if "I" in obj and obj["I"]:
         with _json_shape("law"):
             I = SeriesTuple.from_json(F.spec, obj["I"])

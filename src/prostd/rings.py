@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .errors import EnumerationBoundError, MaximalIdealError, RingMismatchError
+from .errors import EnumerationBoundError, MaximalIdealError, RingMismatchError, ShapeError
 
 P_ADIC = "p-adic"
 EQ_CHAR = "eq-char"
@@ -60,6 +60,16 @@ def _is_prime(n: int) -> bool:
 def grlex_key(alpha: tuple[int, ...]):
     """Sort key for graded-lex order: total degree first, then X1 before X2."""
     return (sum(alpha), tuple(-a for a in alpha))
+
+
+def monomial_name(alpha: tuple[int, ...], stem: str = "X") -> str:
+    factors = []
+    for i, e in enumerate(alpha):
+        if e == 1:
+            factors.append(f"{stem}{i + 1}")
+        elif e > 1:
+            factors.append(f"{stem}{i + 1}^{e}")
+    return "*".join(factors) if factors else "1"
 
 
 def collect(pairs, add, is_zero, bound: int) -> tuple:
@@ -398,7 +408,7 @@ class Coefficient:
 
 
 # --------------------------------------------------------------------------
-# specialisation: evaluate the nested variables at a point of the base ideal
+# polynomial evaluation on payloads (series evaluation and specialisation)
 
 
 def evaluate_terms(spec: RingSpec, terms, args, powers: dict) -> Coefficient:
@@ -424,21 +434,6 @@ def evaluate_terms(spec: RingSpec, terms, args, powers: dict) -> Coefficient:
                 term = _pl_mul(spec, term, got)
         acc = _pl_add(spec, acc, term)
     return Coefficient(spec, acc)
-
-
-def specialise(a: Coefficient, point: tuple[Coefficient, ...]) -> Coefficient:
-    """Evaluate a nested element at t = point, point inside the base maximal ideal."""
-    spec = a.spec
-    if spec.kind != NESTED:
-        raise RingMismatchError("specialise applies to nested ring elements")
-    if len(point) != spec.m:
-        raise ValueError(f"expected {spec.m} point coordinates, got {len(point)}")
-    for q in point:
-        if q.spec != spec.base:
-            raise RingMismatchError("specialisation point must live in the base ring")
-        if q.valuation() < 1:
-            raise MaximalIdealError("specialisation point outside the maximal ideal")
-    return evaluate_terms(spec.base, a.nested_terms(), point, {})
 
 
 # --------------------------------------------------------------------------
@@ -497,6 +492,51 @@ class PrecisionReduction(CoefficientMap):
         return Coefficient.make(tgt, [(alpha, pay[: tgt.K]) for alpha, pay in c.payload])
 
 
+class Specialisation(CoefficientMap):
+    """The homomorphism s_a : P[[t1..tm]] -> P evaluating ti at a_i; the
+    point is parsed and checked here, once, and never again per call."""
+
+    def __init__(self, spec: RingSpec, point):
+        if spec.kind != NESTED:
+            raise RingMismatchError("specialisation needs a nested source ring")
+        pt = []
+        for q in point:
+            if isinstance(q, str):
+                q = parse_coefficient(spec.base, q)
+            elif not isinstance(q, Coefficient):
+                q = Coefficient.make(spec.base, q)
+            pt.append(q)
+        if len(pt) != spec.m:
+            raise ShapeError(f"expected {spec.m} point coordinates, got {len(pt)}")
+        for q in pt:
+            if q.spec != spec.base:
+                raise RingMismatchError("specialisation point must live in the base ring")
+            if q.valuation() < 1:
+                raise MaximalIdealError("specialisation point outside the maximal ideal")
+        self.source = spec
+        self.target = spec.base
+        self.point = tuple(pt)
+
+    @property
+    def m(self) -> int:
+        return self.source.m
+
+    def __call__(self, c: Coefficient) -> Coefficient:
+        if c.spec != self.source:
+            raise RingMismatchError("coefficient outside this map's source ring")
+        return evaluate_terms(self.target, c.nested_terms(), self.point, {})
+
+    def __str__(self) -> str:
+        return "t -> (" + ", ".join(str(q) for q in self.point) + ")"
+
+
+def specialise(a: Coefficient, point) -> Coefficient:
+    """The one-shot form of ``Specialisation(a.spec, point)(a)``."""
+    if a.spec.kind != NESTED:
+        raise RingMismatchError("specialise applies to nested ring elements")
+    return Specialisation(a.spec, point)(a)
+
+
 def residue_map(spec: RingSpec) -> PrecisionReduction:
     """Reduction mod p (precision 1) for the base ring shapes."""
     if spec.kind == NESTED:
@@ -509,6 +549,11 @@ def residue_map(spec: RingSpec) -> PrecisionReduction:
 
 
 def _rep_count(spec: RingSpec, N: int, M: int) -> int:
+    """How many representatives of m^N modulo m^M; needs 0 <= N <= M <= K."""
+    if not 0 <= N <= M:
+        raise ValueError("need 0 <= N <= M")
+    if M > spec.K:
+        raise ValueError(f"quotient level {M} exceeds precision K={spec.K}")
     if spec.kind in _BASE_KINDS:
         return spec.p ** (M - N)
     total = 1
@@ -524,10 +569,6 @@ def representatives(spec: RingSpec, N: int, M: int, bound: int | None = None) ->
     Requires 0 <= N <= M <= K so every representative is faithful at the
     ring's precision.
     """
-    if not 0 <= N <= M:
-        raise ValueError("need 0 <= N <= M")
-    if M > spec.K:
-        raise ValueError(f"quotient level {M} exceeds precision K={spec.K}")
     count = _rep_count(spec, N, M)
     if bound is not None and count > bound:
         raise EnumerationBoundError(count, bound)
@@ -606,13 +647,8 @@ def format_coefficient(c: Coefficient) -> str:
         cs = format_coefficient(Coefficient(spec.base, pay))
         if spec.base.kind == EQ_CHAR:
             cs = f"({cs})"
-        factors = [cs]
-        for i, e in enumerate(alpha):
-            if e == 1:
-                factors.append(f"t{i + 1}")
-            elif e > 1:
-                factors.append(f"t{i + 1}^{e}")
-        parts.append("*".join(factors))
+        mon = monomial_name(alpha, "t")
+        parts.append(cs if mon == "1" else f"{cs}*{mon}")
     return " + ".join(parts) if parts else "0"
 
 

@@ -24,6 +24,7 @@ from .rings import (
     collect,
     evaluate_terms,
     grlex_key,
+    monomial_name,
     parse_coefficient,
     poly_mul,
 )
@@ -41,16 +42,6 @@ def _check_point(spec: RingSpec, nvars: int, args) -> None:
             raise MaximalIdealError("evaluation point outside the maximal ideal")
 
 
-def monomial_name(alpha: tuple[int, ...], stem: str = "X") -> str:
-    factors = []
-    for i, e in enumerate(alpha):
-        if e == 1:
-            factors.append(f"{stem}{i + 1}")
-        elif e > 1:
-            factors.append(f"{stem}{i + 1}^{e}")
-    return "*".join(factors) if factors else "1"
-
-
 @dataclass(frozen=True)
 class Series:
     spec: RingSpec
@@ -59,8 +50,8 @@ class Series:
     terms: tuple[tuple[tuple[int, ...], Coefficient], ...]
 
     @staticmethod
-    def make(spec: RingSpec, nvars: int, D: int, items, truncate: bool = False) -> Series:
-        """Canonicalize a term mapping; reject (or drop) degree >= D."""
+    def make(spec: RingSpec, nvars: int, D: int, items) -> Series:
+        """Canonicalize a term mapping; reject degree >= D."""
         if nvars < 1:
             raise ShapeError("series need at least one variable")
         if D < 1:
@@ -71,8 +62,6 @@ class Series:
             if len(alpha) != nvars or any(e < 0 for e in alpha):
                 raise ShapeError(f"bad exponent vector {alpha} for {nvars} variables")
             if sum(alpha) >= D:
-                if truncate:
-                    continue
                 raise ShapeError(f"monomial degree {sum(alpha)} outside truncation D={D}")
             pairs.append((alpha, Coefficient.make(spec, c)))
         return Series(spec, nvars, D, collect(pairs, operator.add, _is_zero, D))

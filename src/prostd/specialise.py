@@ -1,13 +1,14 @@
-"""Specialisation of the formal variables t1..tm, grid tests, and the
-power probe.
+"""Grids of specialisation points, grid tests, the power probe and
+transport coherence.
 
 A nested coefficient c in P[[t1..tm]] can be evaluated at any point a of
-(m_P)^m; doing this coefficient-wise turns series, laws and whole chart
-atlases over the nested ring into ones over P.  Vanishing of c at every
-point of a finite grid is weaker than c = 0 at truncated precision (p*t1
-over Z/4 vanishes at both 0 and 2), so zero certificates are only issued
-for exact polynomial lifts through `kernel_grid_test`; grid vanishing of
-truncated data is reported as advisory.
+(m_P)^m by the map s_a (``rings.Specialisation``, re-exported here); doing
+this coefficient-wise turns series, laws and whole chart atlases over the
+nested ring into ones over P.  Vanishing of c at every point of a finite
+grid is weaker than c = 0 at truncated precision (p*t1 over Z/4 vanishes at
+both 0 and 2), so zero certificates are only issued for exact polynomial
+lifts through `kernel_grid_test`; grid vanishing of truncated data is
+reported as advisory.
 
 `concision_probe` searches for the least l with w^l trivial on a
 transversal extension: at each level it runs the marginality check, records
@@ -26,48 +27,14 @@ from .rings import (
     NESTED,
     P_ADIC,
     Coefficient,
-    CoefficientMap,
     RingSpec,
+    Specialisation,
     _rep_count,
-    parse_coefficient,
     representatives,
     specialise,
 )
 from .stdgrp import _enumeration_guard
 from .words import WordExpr
-
-
-class Specialisation(CoefficientMap):
-    """The homomorphism s_a : P[[t1..tm]] -> P evaluating ti at a_i."""
-
-    def __init__(self, spec: RingSpec, point):
-        if spec.kind != NESTED:
-            raise RingMismatchError("specialisation needs a nested source ring")
-        pt = []
-        for q in point:
-            if isinstance(q, str):
-                q = parse_coefficient(spec.base, q)
-            elif not isinstance(q, Coefficient):
-                q = Coefficient.make(spec.base, q)
-            pt.append(q)
-        if len(pt) != spec.m:
-            raise ShapeError(f"expected {spec.m} point coordinates, got {len(pt)}")
-        self.source = spec
-        self.target = spec.base
-        self.point = tuple(pt)
-        specialise(Coefficient.zero(spec), self.point)  # validates the point
-
-    @property
-    def m(self) -> int:
-        return self.source.m
-
-    def __call__(self, c: Coefficient) -> Coefficient:
-        if c.spec != self.source:
-            raise RingMismatchError("coefficient outside this map's source ring")
-        return specialise(c, self.point)
-
-    def __str__(self) -> str:
-        return "t -> (" + ", ".join(str(q) for q in self.point) + ")"
 
 
 def ideal_grid(spec: RingSpec, depth: int) -> list[tuple[Coefficient, ...]]:
@@ -328,6 +295,7 @@ def concision_probe(w: WordExpr, data: TransversalData, lmax: int,
     if lmax < 1:
         raise ValueError("lmax must be >= 1")
     grid = list(grid)
+    maps = [Specialisation(spec, pt) for pt in grid]
     levels = []
     min_l = None
     for l in range(1, lmax + 1):
@@ -336,10 +304,8 @@ def concision_probe(w: WordExpr, data: TransversalData, lmax: int,
             levels.append(ProbeLevel(l, "witness", None, rep.witness_cosets,
                                      rep.witness, None, False))
             continue
-        vanishing = []
-        for idx, pt in enumerate(grid):
-            if all(specialise(c, pt).is_zero for row in rep.rows for c in row.constants):
-                vanishing.append(idx)
+        vanishing = [idx for idx, phi in enumerate(maps)
+                     if all(phi(c).is_zero for row in rep.rows for c in row.constants)]
         trivial = all(
             row.target == data.T.identity and all(c.is_zero for c in row.constants)
             for row in rep.rows)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import EnumerationBoundError, LawError, MaximalIdealError
 from .fgl import FormalGroupLaw
-from .rings import Coefficient, parse_coefficient, representatives
+from .rings import Coefficient, _rep_count, parse_coefficient, representatives
 from .series import SeriesTuple, substitute
 
 
@@ -140,10 +140,12 @@ class QuotientGroup:
     def __init__(self, group: StandardGroup, M: int, bound: int | None = None):
         if M < group.N:
             raise ValueError("quotient level M must be >= the group level N")
-        bound = default_bound() if bound is None else bound
         spec = group.law.spec
-        reps = representatives(spec, group.N, M, bound)
-        _enumeration_guard(len(reps) ** group.law.d, bound)
+        # refuse before building anything; an oversized axis reports its own size
+        count = _rep_count(spec, group.N, M)
+        bound = _enumeration_guard(count, bound)
+        _enumeration_guard(count ** group.law.d, bound)
+        reps = representatives(spec, group.N, M)
         self.group = group
         self.M = M
         self.elements = [coords for coords in itertools.product(reps, repeat=group.law.d)]

@@ -182,7 +182,10 @@ class _Parser:
 
 def parse_word(text: str) -> WordExpr:
     parser = _Parser(text, default_bound())
-    letters, k = parser.word()
+    try:
+        letters, k = parser.word()
+    except RecursionError:
+        raise WordSyntaxError("brackets nested too deeply", parser.pos) from None
     if parser.pos < len(text):
         parser.error(f"unexpected character {text[parser.pos]!r}")
     if k == 0:

@@ -8,6 +8,7 @@ import pytest
 
 import prostd
 from prostd.atlas import (
+    CosetTable,
     HElement,
     HQuotient,
     TransversalData,
@@ -55,9 +56,8 @@ def test_coset_table_check():
     bad[("s", "s")] = "s"
     with pytest.raises(ExtensionDataError, match="identity fails|inverse fails"):
         coset_table(T.elements, "1", bad, T.inv)
-    skipped = coset_table(T.elements, "1", bad, T.inv, check=False)
     with pytest.raises(ExtensionDataError):
-        skipped.check()
+        CosetTable(T.elements, "1", bad, T.inv).check()
     # identity and inverses hold, but (a a) a = 1 while a (a a) = b
     els = ("1", "a", "b")
     mul = {("1", t): t for t in els} | {(t, "1"): t for t in els}
@@ -164,7 +164,7 @@ def test_validate_flags_corrupt_data():
     good = direct_product(L, T)
     bad_mul = dict(T.mul)
     bad_mul[("s", "s")] = "s"
-    broken_T = coset_table(T.elements, "1", bad_mul, T.inv, check=False)
+    broken_T = CosetTable(T.elements, "1", bad_mul, T.inv)
     broken = TransversalData(L=L, T=broken_T, C=dict(good.C))
     report = validate_transversal(broken)
     assert not report.ok and report.failures[0].startswith("coset table:")

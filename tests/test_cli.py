@@ -44,6 +44,22 @@ def test_invalid_json_is_usage_error(tmp_path, capsys):
     assert code == 2 and "JSONDecodeError" in err
 
 
+@pytest.mark.parametrize("kind", ["json", "word"])
+def test_deep_nesting_is_an_error_line(tmp_path, capsys, kind):
+    # nesting deeper than the interpreter's recursion limit is reported like
+    # any other malformed input, never as a traceback
+    if kind == "json":
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        argv, want = ["fgl", "check", str(deep)], (2, "JSONDecodeError")
+    else:
+        word = "(" * 3000 + "x1" + ")" * 3000
+        argv, want = ["word", "series", "--law", "additive", "--word", word], (1, "WordSyntaxError")
+    code, out, err = run(capsys, argv)
+    assert code == want[0] and out == ""
+    assert err.startswith(f"error: {want[1]}: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, content", [
     (["fgl", "check"], [1, 2]),  # a list where an object belongs
     (["fgl", "check"], {"spec": {"kind": "p-adic", "p": 2, "K": 4}}),  # no "F"

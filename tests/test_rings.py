@@ -251,6 +251,22 @@ def test_precision_reduction_and_residue():
     assert str(red2(c)) == "2"
 
 
+@pytest.mark.parametrize("spec, args, text, reduced", [
+    (eqchar(3, 4), (2,), "1+2*t+t^3", "1+2*t"),
+    (nested(eqchar(2, 4), 2, 3), (2, 2),
+     "(1+t) + (t^3)*t1 + (1+t^2)*t1*t2 + t2", "(1+1*t) + (1)*t2"),
+])
+def test_precision_reduction_on_eqchar_sources(spec, args, text, reduced):
+    red = PrecisionReduction(spec, *args)
+    assert str(red(parse_coefficient(spec, text))) == reduced
+    rng = random.Random(4)
+    for _ in range(20):
+        a = random_ideal_element(spec, 0, rng)
+        b = random_ideal_element(spec, 0, rng)
+        assert red(a + b) == red(a) + red(b)
+        assert red(a * b) == red(a) * red(b)
+
+
 # -- misc ------------------------------------------------------------------------
 
 

@@ -23,16 +23,18 @@ def test_no_assert_statements_in_src():
 
 def _calls(tree, kinds=ast.Call):
     """(enclosing function, node) of every call (or node of the given kinds)
-    in the tree."""
+    in the tree; a method is named Class.method."""
     found = []
 
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
+    def visit(node, owner, cls=None):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner, cls = (f"{cls}.{node.name}" if cls else node.name), None
         if isinstance(node, kinds):
             found.append((owner, node))
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, owner, cls)
 
     visit(tree, None)
     return found
@@ -87,3 +89,13 @@ def test_one_word_fold():
                   if isinstance(node.iter, ast.Attribute) and node.iter.attr == "letters"
                   and owner in composers}
     assert folds == {("words.py", "_fold")}, f"word folds: {sorted(folds)}"
+
+
+def test_one_specialisation_path():
+    # t-variables are evaluated by Specialisation alone (rings.specialise is
+    # its one-shot form), and polynomial evaluation is shared only with series
+    allowed = {("series.py", "Series._evaluate_unchecked"),
+               ("rings.py", "Specialisation.__call__")}
+    found = {(name, owner) for name, tree in _sources()
+             for owner, node in _calls(tree) if _callee(node) == "evaluate_terms"}
+    assert found == allowed, f"evaluate_terms callers: {sorted(found)}"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import prostd
 from prostd.atlas import cyclic_table, direct_product, inversion_extension
 from prostd.errors import (
     EnumerationBoundError,
@@ -50,6 +51,34 @@ def test_specialisation_validation():
         Specialisation(spec, ("1", "0"))
     with pytest.raises(RingMismatchError):
         s(Coefficient.make(padic(2, 4), 2))
+
+
+def test_specialisation_checks_its_point_once(monkeypatch):
+    # the point is validated when the map is built; applying the map checks
+    # only the coefficient's ring, so no valuation is taken per coefficient
+    spec = nested(padic(2, 4), 2, 4)
+    rng = random.Random(8)
+    cs = [random_ideal_element(spec, 0, rng) for _ in range(50)]
+    s = Specialisation(spec, ("2", "4"))
+    calls = []
+    real = Coefficient.valuation
+    monkeypatch.setattr(Coefficient, "valuation", lambda c: calls.append(c) or real(c))
+    out = [s(c) for c in cs]
+    assert calls == []
+    a1, a2 = s.point
+    assert out == [sum((b * a1**e1 * a2**e2 for (e1, e2), b in c.nested_terms()),
+                       Coefficient.zero(spec.base)) for c in cs]
+
+
+def test_specialise_is_exported_as_the_function():
+    # importing the submodule must not rebind the package's `specialise`
+    assert prostd.specialise is prostd.rings.specialise
+    star: dict = {}
+    exec("from prostd import *", star)
+    assert star["specialise"] is prostd.rings.specialise
+    spec = nested(padic(2, 4), 1, 2)
+    assert prostd.specialise(parse_coefficient(spec, "1 + t1"), ("2",)) == \
+        Coefficient.from_int(spec.base, 3)
 
 
 def test_specialisation_is_a_homomorphism():

@@ -6,6 +6,7 @@ from oracles import HeisQuotient, heis_coords, heis_inv_mat, heis_mat, mat_mul
 from prostd.errors import EnumerationBoundError, MaximalIdealError
 from prostd.fgl import builtin
 from prostd.rings import Coefficient, eqchar, padic, random_ideal_element
+from prostd import stdgrp
 from prostd.stdgrp import GroupElement, StandardGroup
 
 
@@ -146,6 +147,24 @@ def test_quotient_validation_and_bound():
         G.quotient(0)
     with pytest.raises(EnumerationBoundError):
         G.quotient(5, bound=100)
+
+
+def test_quotient_refuses_before_enumerating(monkeypatch):
+    # the guard sees |reps|^d before a single representative is built, and
+    # each refusal keeps its message: the axis size, the product size, or K
+    built = []
+    real = stdgrp.representatives
+    monkeypatch.setattr(stdgrp, "representatives", lambda *a: built.append(a) or real(*a))
+    G = heis_group(K=20)
+    with pytest.raises(EnumerationBoundError,
+                       match=r"^enumeration size 144115188075855872 exceeds bound 1000000$"):
+        G.quotient(20, bound=10**6)
+    with pytest.raises(EnumerationBoundError, match=r"^enumeration size 16 exceeds bound 10$"):
+        G.quotient(5, bound=10)
+    with pytest.raises(ValueError, match=r"^quotient level 21 exceeds precision K=20$"):
+        G.quotient(21, bound=1)
+    assert built == []
+    assert len(G.quotient(2)) == 8 and built == [(G.law.spec, 1, 2)]
 
 
 def test_enum_bound_env_override(monkeypatch):
