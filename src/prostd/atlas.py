@@ -17,6 +17,9 @@ The group operation and its symbolic shadow are
     (t, l)^-1       = (t^-1, A_inv[t](C_{t^-1}(I(l))))
 
 where identity charts C_r are marked once, at construction, and skipped.
+Both run on the compiled kernels of F, I, the charts and the corrections, on
+payloads reduced mod m^level: full precision for ``TransversalData``, m^M for
+``HQuotient``.
 A word w with arguments constrained to cosets (t_1, .., t_k) folds to one
 series per coset tuple by ``words._fold``, which also serves ``word_series``.
 """
@@ -30,8 +33,8 @@ from dataclasses import dataclass, field
 from .errors import ExtensionDataError, ShapeError, _json_shape
 from .fgl import FormalGroupLaw
 from .rings import Coefficient, RingSpec, random_ideal_element
-from .series import SeriesTuple, compose, constancy
-from .stdgrp import StandardGroup, _enumeration_guard, default_bound
+from .series import SeriesTuple, _check_point, compose, constancy
+from .stdgrp import StandardGroup, _enumeration_guard, _payload, default_bound
 from .words import WordExpr, _CayleyTable, _apply, _fold
 
 
@@ -134,18 +137,31 @@ class TransversalData:
         return HElement(t, self.L.element(coords).coords)
 
     def mul(self, x: HElement, y: HElement) -> HElement:
-        if len(x.coords) != self.L.d:  # F sees x and y only concatenated
-            raise ShapeError(f"expected {self.L.d} arguments, got {len(x.coords)}")
-        v = _apply(self.charts, y.t, x.coords, SeriesTuple.evaluate)
-        v = self.L.law.F.evaluate(v + y.coords)
-        v = _apply(self.A, ("mul", x.t, y.t), v, SeriesTuple.evaluate)
-        return HElement(self.T.mul[(x.t, y.t)], v)
+        spec = self.L.law.spec
+        for h in (x, y):  # F sees x and y only concatenated
+            _check_point(spec, self.L.d, h.coords)
+        t, v = self._mul(x.t, tuple(map(_payload, x.coords)), y.t,
+                         tuple(map(_payload, y.coords)), spec.zero_valuation)
+        return HElement(t, tuple(Coefficient(spec, c) for c in v))
 
     def inv(self, x: HElement) -> HElement:
-        r = self.T.inv[x.t]
-        v = _apply(self.charts, r, self.L.law.I.evaluate(x.coords), SeriesTuple.evaluate)
-        v = _apply(self.A, ("inv", x.t), v, SeriesTuple.evaluate)
-        return HElement(r, v)
+        spec = self.L.law.spec
+        _check_point(spec, self.L.d, x.coords)
+        t, v = self._inv(x.t, tuple(map(_payload, x.coords)), spec.zero_valuation)
+        return HElement(t, tuple(Coefficient(spec, c) for c in v))
+
+    def _mul(self, t: str, x: tuple, r: str, y: tuple, level: int) -> tuple[str, tuple]:
+        """(t, x) * (r, y) on trusted payload tuples, reduced mod m^level."""
+        run = _kernel_at(level)
+        v = self.L.law.F.kernel(level)(*_apply(self.charts, r, x, run), *y)
+        return self.T.mul[(t, r)], _apply(self.A, ("mul", t, r), v, run)
+
+    def _inv(self, t: str, x: tuple, level: int) -> tuple[str, tuple]:
+        """(t, x)^-1 on a trusted payload tuple, reduced mod m^level."""
+        run = _kernel_at(level)
+        r = self.T.inv[t]
+        v = _apply(self.charts, r, self.L.law.I.kernel(level)(*x), run)
+        return r, _apply(self.A, ("inv", t), v, run)
 
     def map_coefficients(self, phi) -> TransversalData:
         """Transport the whole chart along a coefficient map, then revalidate."""
@@ -169,6 +185,11 @@ def _check_chart_series(S: SeriesTuple, d: int, spec: RingSpec, D: int, name: st
         raise ExtensionDataError(f"{name} disagrees with the law's ring or truncation")
     if not S.has_zero_constant_terms():
         raise ExtensionDataError(f"{name} must have zero constant terms")
+
+
+def _kernel_at(level: int):
+    """``apply`` for ``words._apply``: a series tuple's level kernel on payloads."""
+    return lambda S, v: S.kernel(level)(*v)
 
 
 def _identity_series(spec: RingSpec, d: int, D: int) -> SeriesTuple:
@@ -334,12 +355,13 @@ class HQuotient:
         return len(self.elements)
 
     def mul(self, x, y):
-        h = self.data.mul(HElement(*x), HElement(*y))
-        return (h.t, self._lq._reduce(h.coords))
+        t, v = self.data._mul(x[0], tuple(map(_payload, x[1])), y[0],
+                              tuple(map(_payload, y[1])), self.M)
+        return (t, self._lq._element(v))
 
     def inv(self, x):
-        h = self.data.inv(HElement(*x))
-        return (h.t, self._lq._reduce(h.coords))
+        t, v = self.data._inv(x[0], tuple(map(_payload, x[1])), self.M)
+        return (t, self._lq._element(v))
 
 
 # --------------------------------------------------------------------------

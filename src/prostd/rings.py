@@ -30,8 +30,9 @@ import itertools
 import math
 import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .errors import EnumerationBoundError, MaximalIdealError, RingMismatchError, ShapeError
 
@@ -135,6 +136,10 @@ class RingSpec:
     def modulus(self) -> int:
         return self.p**self.K
 
+    @cached_property
+    def ops(self) -> RingOps:
+        return _ring_ops(self)
+
     @property
     def zero_valuation(self) -> int:
         """Least v such that valuation >= v forces zero at this precision."""
@@ -179,20 +184,66 @@ def nested(base: RingSpec, m: int, Dt: int) -> RingSpec:
 # graded-lex-sorted tuple of (exponent, base payload) pairs (nested)
 
 
-def _pl_zero(spec: RingSpec):
-    if spec.kind == P_ADIC:
-        return 0
-    if spec.kind == EQ_CHAR:
-        return (0,) * spec.K
-    return ()
+@dataclass(frozen=True)
+class RingOps:
+    """Payload arithmetic of one ring, resolved once per spec (``spec.ops``),
+    so no operation tests the ring's kind.  ``add`` and ``mul`` are binary;
+    ``reduce(a, M)`` is the canonical representative of ``a`` modulo m^M."""
+
+    zero: object
+    is_zero: Callable
+    add: Callable
+    neg: Callable
+    mul: Callable
+    reduce: Callable
 
 
-def _pl_is_zero(spec: RingSpec, a) -> bool:
+def _ring_ops(spec: RingSpec) -> RingOps:
+    p, K = spec.p, spec.K
     if spec.kind == P_ADIC:
-        return a == 0
+        q = spec.modulus
+        return RingOps(
+            zero=0,
+            is_zero=operator.not_,
+            add=lambda a, b: (a + b) % q,
+            neg=lambda a: -a % q,
+            mul=lambda a, b: a * b % q,
+            reduce=lambda a, M: a if M >= K else a % p ** max(M, 0))
     if spec.kind == EQ_CHAR:
-        return not any(a)
-    return not a
+        zero = (0,) * K
+
+        def mul(a, b):
+            out = [0] * K
+            for i, x in enumerate(a):
+                if not x:
+                    continue
+                for j, y in enumerate(b):
+                    if i + j >= K:
+                        break
+                    if y:
+                        out[i + j] = (out[i + j] + x * y) % p
+            return tuple(out)
+
+        return RingOps(
+            zero=zero,
+            is_zero=lambda a: not any(a),
+            add=lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+            neg=lambda a: tuple(-x % p for x in a),
+            mul=mul,
+            reduce=lambda a, M: a if M >= K else a[:max(M, 0)] + zero[max(M, 0):])
+    base, Dt = spec.base.ops, spec.Dt
+
+    def canonical(pairs):
+        return collect(pairs, base.add, base.is_zero, Dt)
+
+    return RingOps(
+        zero=(),
+        is_zero=operator.not_,
+        add=lambda a, b: canonical(a + b),
+        neg=lambda a: tuple((alpha, base.neg(c)) for alpha, c in a),
+        mul=lambda a, b: poly_mul(a, b, base.mul, base.add, base.is_zero, Dt),
+        reduce=lambda a, M: canonical([(alpha, base.reduce(c, M - sum(alpha)))
+                                       for alpha, c in a]))
 
 
 def _pl_from_int(spec: RingSpec, n: int):
@@ -201,51 +252,14 @@ def _pl_from_int(spec: RingSpec, n: int):
     if spec.kind == EQ_CHAR:
         return ((n % spec.p,) + (0,) * (spec.K - 1)) if n % spec.p else (0,) * spec.K
     c = _pl_from_int(spec.base, n)
-    if _pl_is_zero(spec.base, c):
+    if spec.base.ops.is_zero(c):
         return ()
     return (((0,) * spec.m, c),)
 
 
 def _nested_canonical(spec: RingSpec, pairs):
-    return collect(pairs, partial(_pl_add, spec.base), partial(_pl_is_zero, spec.base), spec.Dt)
-
-
-def _pl_add(spec: RingSpec, a, b):
-    if spec.kind == P_ADIC:
-        return (a + b) % spec.modulus
-    if spec.kind == EQ_CHAR:
-        p = spec.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-    return _nested_canonical(spec, a + b)
-
-
-def _pl_neg(spec: RingSpec, a):
-    if spec.kind == P_ADIC:
-        return (-a) % spec.modulus
-    if spec.kind == EQ_CHAR:
-        p = spec.p
-        return tuple((-x) % p for x in a)
-    return tuple((alpha, _pl_neg(spec.base, c)) for alpha, c in a)
-
-
-def _pl_mul(spec: RingSpec, a, b):
-    if spec.kind == P_ADIC:
-        return (a * b) % spec.modulus
-    if spec.kind == EQ_CHAR:
-        p, K = spec.p, spec.K
-        out = [0] * K
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if i + j >= K:
-                    break
-                if y:
-                    out[i + j] = (out[i + j] + x * y) % p
-        return tuple(out)
-    base = spec.base
-    return poly_mul(a, b, partial(_pl_mul, base), partial(_pl_add, base),
-                    partial(_pl_is_zero, base), spec.Dt)
+    base = spec.base.ops
+    return collect(pairs, base.add, base.is_zero, spec.Dt)
 
 
 def _pl_valuation(spec: RingSpec, a) -> int | float:
@@ -267,20 +281,6 @@ def _pl_valuation(spec: RingSpec, a) -> int | float:
     return min(_pl_valuation(spec.base, c) + sum(alpha) for alpha, c in a)
 
 
-def _pl_reduce(spec: RingSpec, a, M: int):
-    """Canonical representative of ``a`` modulo m^M."""
-    if M <= 0:
-        return _pl_zero(spec)
-    if spec.kind == P_ADIC:
-        return a % spec.p**M if M < spec.K else a
-    if spec.kind == EQ_CHAR:
-        if M >= spec.K:
-            return a
-        return a[:M] + (0,) * (spec.K - M)
-    return _nested_canonical(spec, [(alpha, _pl_reduce(spec.base, c, M - sum(alpha)))
-                                    for alpha, c in a])
-
-
 @dataclass(frozen=True)
 class Coefficient:
     """An element of a truncated coefficient ring, stored canonically."""
@@ -290,7 +290,7 @@ class Coefficient:
 
     @staticmethod
     def zero(spec: RingSpec) -> Coefficient:
-        return Coefficient(spec, _pl_zero(spec))
+        return Coefficient(spec, spec.ops.zero)
 
     @staticmethod
     def one(spec: RingSpec) -> Coefficient:
@@ -340,12 +340,12 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Coefficient(self.spec, _pl_add(self.spec, self.payload, other.payload))
+        return Coefficient(self.spec, self.spec.ops.add(self.payload, other.payload))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Coefficient(self.spec, _pl_neg(self.spec, self.payload))
+        return Coefficient(self.spec, self.spec.ops.neg(self.payload))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -360,7 +360,7 @@ class Coefficient:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Coefficient(self.spec, _pl_mul(self.spec, self.payload, other.payload))
+        return Coefficient(self.spec, self.spec.ops.mul(self.payload, other.payload))
 
     __rmul__ = __mul__
 
@@ -380,14 +380,14 @@ class Coefficient:
 
     @property
     def is_zero(self) -> bool:
-        return _pl_is_zero(self.spec, self.payload)
+        return self.spec.ops.is_zero(self.payload)
 
     def valuation(self) -> int | float:
         return _pl_valuation(self.spec, self.payload)
 
     def mod_ideal_power(self, M: int) -> Coefficient:
         """Canonical representative of this element modulo m^M."""
-        return Coefficient(self.spec, _pl_reduce(self.spec, self.payload, M))
+        return Coefficient(self.spec, self.spec.ops.reduce(self.payload, M))
 
     def nested_terms(self) -> tuple:
         """(alpha, base Coefficient) pairs of a nested element."""
@@ -418,21 +418,22 @@ def evaluate_terms(spec: RingSpec, terms, args, powers: dict) -> Coefficient:
     everything in between stays on raw payloads.  `powers` caches payloads
     of args[i]^e across calls that share an argument tuple.
     """
-    acc = _pl_zero(spec)
+    add, mul = spec.ops.add, spec.ops.mul
+    acc = spec.ops.zero
     for alpha, c in terms:
         term = c.payload
         for i, e in enumerate(alpha):
             if e == 1:
-                term = _pl_mul(spec, term, args[i].payload)
+                term = mul(term, args[i].payload)
             elif e:
                 got = powers.get((i, e))
                 if got is None:
                     got = args[i].payload
                     for _ in range(e - 1):
-                        got = _pl_mul(spec, got, args[i].payload)
+                        got = mul(got, args[i].payload)
                     powers[(i, e)] = got
-                term = _pl_mul(spec, term, got)
-        acc = _pl_add(spec, acc, term)
+                term = mul(term, got)
+        acc = add(acc, term)
     return Coefficient(spec, acc)
 
 

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MaximalIdealError, RingMismatchError, ShapeError, SubstitutionError
 from .rings import (
+    P_ADIC,
     Coefficient,
     RingSpec,
     collect,
@@ -253,11 +255,28 @@ class SeriesTuple:
 
     def evaluate(self, args: tuple[Coefficient, ...]) -> tuple[Coefficient, ...]:
         _check_point(self.spec, self.nvars, args)
-        return self._evaluate_trusted(args)
-
-    def _evaluate_trusted(self, args) -> tuple[Coefficient, ...]:
         powers: dict = {}
         return tuple(s._evaluate_unchecked(args, powers) for s in self.components)
+
+    @cached_property
+    def _kernels(self) -> dict:
+        return {}
+
+    def kernel(self, M: int):
+        """The tuple as a function on payloads, reduced mod m^M.
+
+        ``kernel(M)(*payloads)`` is the payload tuple of ``evaluate(args)``
+        reduced mod m^M, where ``payloads`` are those of ``args`` or of any
+        arguments congruent to them mod m^M.  The arguments are not checked:
+        callers pass points they have checked or built.  Compiled once per
+        level from ``_kernel_source`` and cached on the tuple."""
+        got = self._kernels.get(M)
+        if got is None:
+            source, names = _kernel_source(self, M)
+            namespace = {"__builtins__": {}, **names}
+            got = eval(compile(source, f"<kernel M={M}>", "eval"), namespace)
+            self._kernels[M] = got
+        return got
 
     def map_coefficients(self, phi) -> SeriesTuple:
         return SeriesTuple(tuple(s.map_coefficients(phi) for s in self.components))
@@ -274,6 +293,72 @@ class SeriesTuple:
     @staticmethod
     def from_json(spec: RingSpec, obj: list) -> SeriesTuple:
         return SeriesTuple(tuple(Series.from_json(spec, o) for o in obj))
+
+
+# --------------------------------------------------------------------------
+# compiled kernels
+
+
+def _int_literal(x) -> str:
+    if type(x) is not int:
+        raise TypeError(f"kernel constants must be ints, got {type(x).__name__}")
+    return repr(x)
+
+
+def _payload_literal(pay) -> str:
+    """Source text of a payload: an int, or nested tuples of ints."""
+    if isinstance(pay, tuple):
+        return "(" + "".join(_payload_literal(x) + ", " for x in pay) + ")"
+    return _int_literal(pay)
+
+
+def _tree(items: list[str], join) -> str:
+    """The items combined pairwise by ``join`` as a balanced tree, so the
+    nesting depth of the source is logarithmic in the item count."""
+    if len(items) == 1:
+        return items[0]
+    half = len(items) // 2
+    return join(_tree(items[:half], join), _tree(items[half:], join))
+
+
+def _kernel_source(T: SeriesTuple, M: int) -> tuple[str, dict]:
+    """Straight-line source of ``T.kernel(M)`` and the closures it calls.
+
+    On p-adic rings every component is a polynomial over Z in a0..a{n-1},
+    reduced by one ``% p^M``: exact, since Z -> Z/p^M is a ring map and p^M
+    divides p^K.  Other rings call their ``add``/``mul`` payload ops and, below
+    full precision, ``red`` (reduction mod m^M).  The source holds only ints,
+    the argument names, ``+ * %``, tuples and those closures.
+    """
+    if type(M) is not int or M < 1:
+        raise ValueError(f"kernel level must be an integer >= 1, got {M!r}")
+    spec = T.spec
+    args = [f"a{i}" for i in range(T.nvars)]
+    ops = spec.ops
+    if spec.kind == P_ADIC:
+        q = _int_literal(spec.p ** min(M, spec.K))
+        names = {}
+        product = "*".join
+        total = lambda terms: f"{_tree(terms, '({} + {})'.format)} % {q}"
+    else:
+        names = {"add": ops.add, "mul": ops.mul}
+        reduced = "{}"
+        if M < spec.zero_valuation:
+            names["red"] = lambda a: ops.reduce(a, M)
+            reduced = "red({})"
+        product = lambda factors: _tree(factors, "mul({}, {})".format)
+        total = lambda terms: reduced.format(_tree(terms, "add({}, {})".format))
+    one = Coefficient.one(spec).payload
+    comps = []
+    for s in T.components:
+        terms = []
+        for alpha, c in s.terms:
+            factors = [args[i] for i, e in enumerate(alpha) for _ in range(e)]
+            if c.payload != one or not factors:
+                factors.insert(0, _payload_literal(c.payload))
+            terms.append(product(factors))
+        comps.append(total(terms) if terms else _payload_literal(ops.zero))
+    return f"lambda {', '.join(args)}: ({''.join(c + ', ' for c in comps)})", names
 
 
 # --------------------------------------------------------------------------

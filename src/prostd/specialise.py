@@ -31,7 +31,6 @@ from .rings import (
     Specialisation,
     _rep_count,
     representatives,
-    specialise,
 )
 from .stdgrp import _enumeration_guard
 from .words import WordExpr
@@ -221,8 +220,12 @@ def kernel_grid_test(poly: ExactPoly, axes) -> KernelVerdict:
 
 def specialise_constants(constants, grid) -> list[tuple[Coefficient, ...]]:
     """s_a applied to a tuple of nested constants, one result per grid
-    point, in grid order."""
-    return [tuple(specialise(c, pt) for c in constants) for pt in grid]
+    point, in grid order; each point is checked once per call."""
+    constants = tuple(constants)
+    if not constants:
+        return [() for _ in grid]
+    spec = constants[0].spec
+    return [tuple(map(Specialisation(spec, pt), constants)) for pt in grid]
 
 
 def classify_constant(c: Coefficient, grid) -> str:
@@ -230,7 +233,7 @@ def classify_constant(c: Coefficient, grid) -> str:
     it although it is nonzero), or "nonvanishing"."""
     if c.is_zero:
         return "zero"
-    if all(specialise(c, pt).is_zero for pt in grid):
+    if all(Specialisation(c.spec, pt)(c).is_zero for pt in grid):
         return "grid-vanishing-only"
     return "nonvanishing"
 

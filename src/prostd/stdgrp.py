@@ -1,15 +1,19 @@
 """Standard groups: (m^N)^d with multiplication given by a formal group law.
 
-Elements are coordinate tuples of valuation >= N; the law's series evaluate
-the product, inverse and conjugation.  Finite quotients modulo m^M are
-enumerated on canonical coset representatives, with a size guard.
+Elements are coordinate tuples of valuation >= N.  Products and inverses run
+on the law's compiled kernels (``SeriesTuple.kernel``) on payloads, at full
+precision here and mod m^M on a finite quotient; the conjugation series is
+built symbolically.  Finite quotients modulo m^M are enumerated on canonical
+coset representatives, with a size guard.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EnumerationBoundError, LawError, MaximalIdealError
 from .fgl import FormalGroupLaw
@@ -17,9 +21,22 @@ from .rings import Coefficient, _rep_count, parse_coefficient, representatives
 from .series import SeriesTuple, substitute
 
 
+_payload = operator.attrgetter("payload")
+
+
 def default_bound() -> int:
-    """Enumeration size guard; override with PROSTD_ENUM_BOUND."""
-    return int(os.environ.get("PROSTD_ENUM_BOUND", 10**6))
+    """Enumeration size guard; override with PROSTD_ENUM_BOUND, a positive
+    integer."""
+    text = os.environ.get("PROSTD_ENUM_BOUND")
+    if text is None:
+        return 10**6
+    try:
+        bound = int(text)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ValueError(f"PROSTD_ENUM_BOUND must be a positive integer, got {text!r}")
+    return bound
 
 
 def _enumeration_guard(size: int, bound: int | None) -> int:
@@ -83,30 +100,35 @@ class StandardGroup:
             raise ValueError(f"expected {self.law.d} coordinates, got {len(out)}")
         return GroupElement(self, tuple(out))
 
+    # the law's kernels at full precision, where reduction changes nothing
+    @cached_property
+    def _F(self):
+        return self.law.F.kernel(self.law.spec.zero_valuation)
+
+    @cached_property
+    def _I(self):
+        return self.law.I.kernel(self.law.spec.zero_valuation)
+
     def mul(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        # unit axioms let the identity skip the series evaluation
-        if all(c.is_zero for c in x.coords):
-            return y
-        if all(c.is_zero for c in y.coords):
-            return x
-        coords = self.law.F._evaluate_trusted(x.coords + y.coords)
-        return GroupElement(self, self._at_level(coords))
+        return self._at_level(self._F(*map(_payload, x.coords), *map(_payload, y.coords)))
 
     def inv(self, x: GroupElement) -> GroupElement:
-        coords = self.law.I._evaluate_trusted(x.coords)
-        return GroupElement(self, self._at_level(coords))
+        return self._at_level(self._I(*map(_payload, x.coords)))
 
-    def _at_level(self, coords) -> tuple[Coefficient, ...]:
-        if any(c.valuation() < self.N for c in coords):
-            raise MaximalIdealError(f"group operation left level N={self.N}")
-        return coords
+    def _at_level(self, payloads) -> GroupElement:
+        spec = self.law.spec
+        reduce, zero = spec.ops.reduce, spec.ops.zero
+        for v in payloads:
+            if reduce(v, self.N) != zero:  # valuation below N
+                raise MaximalIdealError(f"group operation left level N={self.N}")
+        return GroupElement(self, tuple([Coefficient(spec, v) for v in payloads]))
 
     def power(self, x: GroupElement, n: int) -> GroupElement:
         if n < 0:
             return self.power(self.inv(x), -n)
-        acc = self.identity
+        acc = e = self.identity
         base = x
-        while n:
+        while n and base != e:  # once base is the identity, so is every later factor
             if n & 1:
                 acc = self.mul(acc, base)
             base = self.mul(base, base)
@@ -135,7 +157,11 @@ class StandardGroup:
 
 
 class QuotientGroup:
-    """The finite group (m^N)^d / (m^M)^d on canonical representatives."""
+    """The finite group (m^N)^d / (m^M)^d on canonical representatives.
+
+    Products run on the law's level-M kernels; their payload tuples map back
+    to elements through one dict, whose failed lookup is the closure check.
+    """
 
     def __init__(self, group: StandardGroup, M: int, bound: int | None = None):
         if M < group.N:
@@ -146,35 +172,31 @@ class QuotientGroup:
         bound = _enumeration_guard(count, bound)
         _enumeration_guard(count ** group.law.d, bound)
         reps = representatives(spec, group.N, M)
+        d = group.law.d
         self.group = group
         self.M = M
-        self.elements = [coords for coords in itertools.product(reps, repeat=group.law.d)]
-        self._index = set(self.elements)
-        self._inv_cache: dict = {}
-        zero = Coefficient.zero(spec)
-        self.identity = (zero,) * group.law.d
+        self.elements = list(itertools.product(reps, repeat=d))
+        self._by_payload = dict(zip(itertools.product([c.payload for c in reps], repeat=d),
+                                    self.elements))
+        self.identity = self._by_payload[(spec.ops.zero,) * d]
+        self._F = group.law.F.kernel(M)
+        self._I = group.law.I.kernel(M)
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def _reduce(self, coords) -> tuple[Coefficient, ...]:
-        out = tuple(c.mod_ideal_power(self.M) for c in coords)
-        if out not in self._index:
-            shown = ", ".join(str(c) for c in out)
+    def _element(self, payloads) -> tuple[Coefficient, ...]:
+        """The element with these reduced payloads; the closure check."""
+        got = self._by_payload.get(payloads)
+        if got is None:
+            spec = self.group.law.spec
+            shown = ", ".join(str(Coefficient(spec, v)) for v in payloads)
             raise MaximalIdealError(f"({shown}) is not among the quotient's {len(self.elements)} "
                                     "representatives; it is not closed under mul and inv")
-        return out
+        return got
 
     def mul(self, x, y):
-        if x is self.identity or x == self.identity:
-            return y
-        if y is self.identity or y == self.identity:
-            return x
-        return self._reduce(self.group.law.F._evaluate_trusted(tuple(x) + tuple(y)))
+        return self._element(self._F(*map(_payload, x), *map(_payload, y)))
 
     def inv(self, x):
-        got = self._inv_cache.get(x)
-        if got is None:
-            got = self._reduce(self.group.law.I._evaluate_trusted(tuple(x)))
-            self._inv_cache[x] = got
-        return got
+        return self._element(self._I(*map(_payload, x)))

@@ -107,6 +107,16 @@ def test_domain_errors_exit_one(samples, capsys):
     assert err == "error: ValueError: grid depth must be in 1..3, got 0\n"
 
 
+@pytest.mark.parametrize("text", ["abc", "-5"])
+def test_bad_enum_bound_env_exits_one(monkeypatch, capsys, text):
+    monkeypatch.setenv("PROSTD_ENUM_BOUND", text)
+    code, out, err = run(capsys, ["group", "quotient", "--M", "2", "--law",
+                                  "additive", "--p", "3", "--K", "3"])
+    assert (code, out) == (1, "")
+    assert err == ("error: ValueError: PROSTD_ENUM_BOUND must be a positive integer, "
+                   f"got '{text}'\n")
+
+
 def test_unknown_command_exits_two(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["fgl", "frobenius"])

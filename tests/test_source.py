@@ -99,3 +99,81 @@ def test_one_specialisation_path():
     found = {(name, owner) for name, tree in _sources()
              for owner, node in _calls(tree) if _callee(node) == "evaluate_terms"}
     assert found == allowed, f"evaluate_terms callers: {sorted(found)}"
+
+
+def test_group_products_run_on_kernels():
+    # every finite and standard-group product runs on compiled law kernels;
+    # the series path stays the reference that the kernel tests compare with
+    classes = {"StandardGroup", "QuotientGroup", "TransversalData", "HQuotient"}
+    series_path = {"evaluate", "_evaluate_unchecked", "_evaluate_trusted", "evaluate_terms"}
+    found = [f"{name}:{node.lineno} ({owner})" for name, tree in _sources()
+             if name in ("stdgrp.py", "atlas.py")
+             for owner, node in _calls(tree)
+             if owner and owner.split(".")[0] in classes and _callee(node) in series_path]
+    assert not found, f"group methods on the series path: {found}"
+
+
+_KERNEL_NODES = (ast.Expression, ast.Lambda, ast.arguments, ast.arg, ast.Tuple, ast.Load,
+                 ast.BinOp, ast.Add, ast.Mult, ast.Mod, ast.Sub, ast.UnaryOp, ast.USub,
+                 ast.Call, ast.Name, ast.Constant)
+
+
+def _check_kernel_source(T, source: str, names: dict) -> None:
+    ops = T.spec.ops
+    assert set(names) <= {"add", "mul", "red"}
+    assert names.get("add", ops.add) is ops.add and names.get("mul", ops.mul) is ops.mul
+    tree = ast.parse(source, mode="eval")
+    assert isinstance(tree.body, ast.Lambda)
+    args = [a.arg for a in tree.body.args.args]
+    assert args == [f"a{i}" for i in range(T.nvars)]
+    for node in ast.walk(tree):
+        assert isinstance(node, _KERNEL_NODES), f"{type(node).__name__} in {source}"
+        if isinstance(node, ast.Constant):
+            assert type(node.value) is int, source
+        elif isinstance(node, ast.Name):
+            assert node.id in args or node.id in names, source
+        elif isinstance(node, ast.Call):
+            assert isinstance(node.func, ast.Name) and node.func.id in names, source
+            assert not node.keywords, source
+
+
+def test_kernel_sources_hold_only_ints_names_operators_and_closures(monkeypatch):
+    from prostd import series
+    from prostd.atlas import HElement, HQuotient, TransversalData, inversion_extension
+    from prostd.fgl import builtin
+    from prostd.rings import eqchar, nested, padic
+    from prostd.stdgrp import StandardGroup
+
+    emitted = []
+    emit = series._kernel_source
+
+    def recording(T, M):
+        source, names = emit(T, M)
+        emitted.append((T, source, names))
+        return source, names
+
+    monkeypatch.setattr(series, "_kernel_source", recording)
+    for name, spec, D in [("heisenberg", padic(2, 4), 4), ("heisenberg", eqchar(3, 3), 4),
+                          ("multiplicative", padic(3, 3), 6), ("additive", eqchar(3, 3), 3),
+                          ("multiplicative", nested(padic(2, 3), 1, 3), 6),
+                          ("additive", nested(eqchar(3, 2), 1, 2), 3)]:
+        G = StandardGroup(builtin(name, spec, D), 1)
+        Q = G.quotient(2)
+        x = Q.elements[-1]
+        g = G.element(x)
+        G.power(g, 5)
+        G.inv(g)
+        Q.inv(Q.mul(x, x))
+        if G.d == 1:  # abelian: the inversion charts plus corrections
+            split = inversion_extension(G)
+            ident = split.C[split.T.identity]
+            data = TransversalData(L=G, T=split.T, C=dict(split.C),
+                                   A={("inv", "s"): ident, ("mul", "s", "s"): ident})
+            h = HElement("s", x)
+            data.inv(data.mul(h, h))
+            hq = HQuotient(data, 2)
+            hq.inv(hq.mul(("s", x), ("s", x)))
+    assert {T.spec.kind for T, _, _ in emitted} == {"p-adic", "eq-char", "nested"}
+    assert len(emitted) >= 20
+    for T, source, names in emitted:
+        _check_kernel_source(T, source, names)

@@ -226,6 +226,28 @@ def test_specialise_constants_order():
     assert [tuple(int(q) for q in row) for row in rows] == [(0, 0), (2, 4)]
 
 
+def test_specialise_constants_checks_each_point_once(monkeypatch):
+    # a point is checked when its map is built, once per call, not once per
+    # constant: m = 2 coordinate valuations at each of the 4 grid points
+    spec = nested(padic(2, 4), 2, 3)
+    grid = ideal_grid(spec, 2)
+    rng = random.Random(5)
+    constants = [random_ideal_element(spec, 0, rng) for _ in range(30)]
+    expected = [tuple(prostd.specialise(c, pt) for c in constants) for pt in grid]
+    calls = 0
+    valuation = Coefficient.valuation
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return valuation(self)
+
+    monkeypatch.setattr(Coefficient, "valuation", counting)
+    rows = specialise_constants(constants, grid)
+    assert (len(grid), calls) == (4, 8)
+    assert rows == expected
+
+
 # -- the probe ---------------------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -44,7 +45,7 @@ def test_operations_check_the_level():
         G.inv(low)
     hq = heis_group().quotient(2)
     x = hq.elements[1]
-    hq._index.discard(hq.mul(x, x))
+    del hq._by_payload[tuple(c.payload for c in hq.mul(x, x))]
     with pytest.raises(MaximalIdealError, match="not closed under mul and inv"):
         hq.mul(x, x)
 
@@ -174,3 +175,13 @@ def test_enum_bound_env_override(monkeypatch):
         G.quotient(5)
     monkeypatch.setenv("PROSTD_ENUM_BOUND", "1000000")
     assert len(G.quotient(3)) == 64
+
+
+@pytest.mark.parametrize("text", ["abc", "-5", "0", "2.5", ""])
+def test_enum_bound_env_must_be_a_positive_integer(monkeypatch, text):
+    monkeypatch.setenv("PROSTD_ENUM_BOUND", text)
+    message = f"PROSTD_ENUM_BOUND must be a positive integer, got '{text}'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        stdgrp.default_bound()
+    with pytest.raises(ValueError, match="PROSTD_ENUM_BOUND"):
+        heis_group().quotient(2)
