@@ -132,6 +132,15 @@ class RingSpec:
             if self.base is not None or self.m or self.Dt:
                 raise ValueError("base/m/Dt only apply to nested rings")
 
+    def __eq__(self, other):
+        # the same spec object on both sides is the common case; answer it at once
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.p, self.K, self.base, self.m, self.Dt)
+                == (other.kind, other.p, other.K, other.base, other.m, other.Dt))
+
     @cached_property
     def modulus(self) -> int:
         return self.p**self.K
@@ -287,6 +296,10 @@ class Coefficient:
 
     spec: RingSpec
     payload: int | tuple
+
+    def __hash__(self):
+        # equal coefficients have equal payloads, and hashing the spec is slow
+        return hash(self.payload)
 
     @staticmethod
     def zero(spec: RingSpec) -> Coefficient:

@@ -53,6 +53,22 @@ def test_spec_json_roundtrip():
         assert RingSpec.from_json(spec.to_json()) == spec
 
 
+def test_equal_specs_from_separate_loads():
+    # the same spec object is answered at once; separate but equal specs still
+    # compare field by field, and a coefficient hashes its payload only
+    for spec in SPECS:
+        a, b = RingSpec.from_json(spec.to_json()), RingSpec.from_json(spec.to_json())
+        assert a is not b and a == b and not a != b and hash(a) == hash(b)
+        x, y = (random_ideal_element(s, 1, random.Random(3)) for s in (a, b))
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    for one, other in [(padic(3, 4), padic(3, 5)), (padic(3, 4), padic(5, 4)),
+                       (eqchar(2, 4), eqchar(3, 4)),
+                       (nested(padic(2, 4), 1, 3), nested(padic(2, 4), 1, 4))]:
+        x = Coefficient.make(one, {(1,): 1} if one.kind == "nested" else 2)
+        y = Coefficient(other, x.payload)
+        assert one != other and x != y and {x} != {y}
+
+
 def test_zero_valuation_threshold():
     assert padic(3, 4).zero_valuation == 4
     assert eqchar(2, 5).zero_valuation == 5

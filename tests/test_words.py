@@ -5,11 +5,12 @@ import pytest
 
 from oracles import HeisQuotient
 from prostd.atlas import HQuotient, inversion_extension
-from prostd.errors import EnumerationBoundError, WordSyntaxError
-from prostd.fgl import builtin
-from prostd.rings import Coefficient, eqchar, padic, random_ideal_element
+from prostd import words
+from prostd.errors import EnumerationBoundError, MaximalIdealError, WordSyntaxError
+from prostd.fgl import builtin, law_from_json
+from prostd.rings import Coefficient, eqchar, nested, padic, random_ideal_element
 from prostd.series import Series, SeriesTuple
-from prostd.stdgrp import StandardGroup
+from prostd.stdgrp import QuotientGroup, StandardGroup
 from prostd.words import (
     WordExpr,
     marginal_subgroup,
@@ -100,6 +101,35 @@ def test_evaluate_folds_left():
     assert w.evaluate(G, [g, h]) == g.inverse() * h.inverse() * g * h
     with pytest.raises(ValueError, match="x2"):
         w.evaluate(G, [g])
+
+
+def test_evaluate_inverts_each_argument_once():
+    G = StandardGroup(builtin("heisenberg", padic(2, 5), 5), 1)
+    rng = random.Random(5)
+    letters = [(1, -1)]
+    while len(letters) < 64:
+        letter = (rng.randint(1, 3), rng.choice((1, -1)))
+        if letter != (letters[-1][0], -letters[-1][1]):
+            letters.append(letter)
+    w = WordExpr(3, tuple(letters))
+    args = [G.element([random_ideal_element(G.law.spec, 1, rng) for _ in range(3)])
+            for _ in range(3)]
+    inverted = []
+
+    class Spy:
+        identity = G.identity
+        mul = staticmethod(G.mul)
+
+        def inv(self, x):
+            inverted.append(x)
+            return G.inv(x)
+
+    got = w.evaluate(Spy(), args)
+    assert len(inverted) <= 3 and sum(s < 0 for _, s in letters) > 20
+    want = G.identity
+    for gen, sign in letters:
+        want = want * (args[gen - 1] if sign > 0 else args[gen - 1].inverse())
+    assert got == want
 
 
 # -- symbolic series ---------------------------------------------------------------------
@@ -257,3 +287,111 @@ def test_tuple_guard():
         word_image(parse_word("[x1, x2]"), hq, bound=100)
     with pytest.raises(EnumerationBoundError):
         marginal_subgroup(parse_word("x1^2"), hq, bound=1000)
+
+
+# -- the payload view of a quotient: letter fold or word series -----------------------------
+
+
+def heis_quotient(M):
+    return StandardGroup(builtin("heisenberg", padic(2, 5), 5), 1).quotient(M)
+
+
+# (quotient, largest generator count its letterwise reference enumerates quickly)
+PAYLOAD_FIXTURES = {
+    "p-adic": (lambda: StandardGroup(builtin("multiplicative", padic(3, 4), 6), 1).quotient(3), 3),
+    "p-adic-heisenberg": (lambda: heis_quotient(3), 2),
+    "eq-char": (lambda: StandardGroup(builtin("multiplicative", eqchar(3, 4), 6), 1).quotient(3), 3),
+    "nested": (lambda: StandardGroup(
+        builtin("multiplicative", nested(eqchar(2, 3), 1, 2), 6), 1).quotient(3), 2),
+    "nested-small": (lambda: StandardGroup(
+        builtin("multiplicative", nested(padic(2, 3), 1, 2), 6), 1).quotient(2), 3),
+}
+PAYLOAD_WORDS = ["x1^3", "x1^-2", "x1^2 x2^-1", "[x1, x2] x1", "x1 x2^-1 x3^2"]
+
+
+def _count_series(monkeypatch) -> list:
+    calls = []
+    real = words.word_series
+    monkeypatch.setattr(words, "word_series", lambda w, law: calls.append(w) or real(w, law))
+    return calls
+
+
+@pytest.mark.parametrize("route", ["fold", "series"])
+@pytest.mark.parametrize("name, text", [(name, text) for name, (_, k) in PAYLOAD_FIXTURES.items()
+                                        for text in PAYLOAD_WORDS if parse_word(text).k <= k])
+def test_payload_view_matches_letterwise(monkeypatch, name, text, route):
+    # every quotient goes through the payload view, and the cost constant picks the route
+    monkeypatch.setattr(words, "_view", lambda w, group, bound: words._PayloadView(group))
+    monkeypatch.setattr(words, "_COMPOSE_CALLS", 0 if route == "series" else 10**9)
+    series_calls = _count_series(monkeypatch)
+    group, w = PAYLOAD_FIXTURES[name][0](), parse_word(text)
+    image, verbal, marginal = _letterwise_reference(w, group)
+    assert word_image(w, group) == image
+    assert verbal_subgroup(w, group) == verbal
+    assert marginal_subgroup(w, group) == marginal
+    assert len(series_calls) == (3 if route == "series" else 0)
+
+
+@pytest.mark.parametrize("route", ["fold", "series"])
+def test_payload_view_keeps_the_closure_check(monkeypatch, route):
+    monkeypatch.setattr(words, "_COMPOSE_CALLS", 0 if route == "series" else 10**9)
+    series_calls = _count_series(monkeypatch)
+    hq = heis_quotient(3)
+    x = hq.elements[1]
+    del hq._by_payload[tuple(c.payload for c in hq.mul(x, x))]
+    for enumerate_ in (word_image, verbal_subgroup, marginal_subgroup):
+        with pytest.raises(MaximalIdealError, match="not closed under mul and inv"):
+            enumerate_(parse_word("x1^2"), hq)
+    assert len(series_calls) == (3 if route == "series" else 0)
+    assert not hasattr(hq, "_cayley_table")
+
+
+def test_series_route_counted_work(monkeypatch):
+    # x1^3 on 4096 elements: 3 compositions and 4096 calls of W beat 12288
+    # kernel calls; on 64 elements the 192 calls of the fold win
+    series_calls = _count_series(monkeypatch)
+    products = []
+    real_mul = QuotientGroup.mul
+    monkeypatch.setattr(QuotientGroup, "mul",
+                        lambda self, x, y: products.append(x) or real_mul(self, x, y))
+    w = parse_word("x1^3")
+    hq = heis_quotient(5)
+    image = word_image(w, hq)
+    assert len(series_calls) == 1 and not products
+    assert image == {w.evaluate(hq, (g,)) for g in hq.elements}
+    small = heis_quotient(3)
+    assert word_image(w, small) == {w.evaluate(small, (g,)) for g in small.elements}
+    assert len(series_calls) == 1 and not hasattr(small, "_cayley_table")
+
+
+# F = (x + y)/(1 + xy) over Z/3^6, truncated at D = 4: not a polynomial law, so
+# truncation is visible in the quotients with M > D*N = 4
+TANH_LAW = {"d": 1, "D": 4, "spec": {"kind": "p-adic", "p": 3, "K": 6},
+            "F": [{"nvars": 2, "D": 4,
+                   "terms": [[[1, 0], "1"], [[0, 1], "1"], [[2, 1], "-1"], [[1, 2], "-1"]]}]}
+
+
+def test_series_route_needs_M_at_most_DN(monkeypatch):
+    monkeypatch.setattr(words, "_COMPOSE_CALLS", 0)  # the cost rule alone would take the series
+    series_calls = _count_series(monkeypatch)
+    law = law_from_json(TANH_LAW)
+    G = StandardGroup(law, 1)
+    w = parse_word("x1^3")
+    at_DN = G.quotient(4)
+    image, verbal, marginal = _letterwise_reference(w, at_DN)
+    assert word_image(w, at_DN) == image
+    assert verbal_subgroup(w, at_DN) == verbal
+    assert marginal_subgroup(w, at_DN) == marginal
+    assert len(series_calls) == 3
+    above = G.quotient(5)
+    image, verbal, marginal = _letterwise_reference(w, above)
+    assert word_image(w, above) == image
+    assert marginal_subgroup(w, above) == marginal
+    assert len(series_calls) == 3
+    # the precondition is not idle: at M = 6 the truncated series of x1^3
+    # disagrees with the fold on most arguments
+    at_6 = G.quotient(6)
+    W = word_series(w, law).W.kernel(6)
+    differ = sum(W(*(c.payload for c in g)) != tuple(c.payload for c in w.evaluate(at_6, (g,)))
+                 for g in at_6.elements)
+    assert differ == 162 and len(at_6.elements) == 243
