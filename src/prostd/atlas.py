@@ -35,7 +35,7 @@ from .fgl import FormalGroupLaw
 from .rings import Coefficient, RingSpec, random_ideal_element
 from .series import SeriesTuple, _check_point, compose, constancy
 from .stdgrp import StandardGroup, _enumeration_guard, _payload, default_bound
-from .words import WordExpr, _CayleyTable, _apply, _fold
+from .words import WordExpr, _Enumeration, _apply, _fold
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,7 +319,8 @@ def validate_transversal(data: TransversalData, level: int | None = None,
     if level is not None:
         mode = f"exhaustive level {level}"
         checked = len(hq) ** 3
-        table = _CayleyTable(hq)
+        # the words' indexed enumeration, tabulated: each product made and checked once
+        table = _Enumeration(hq).tabulate()
         failures += _pointwise_failures(
             itertools.product(table.elements, repeat=3), table.mul, table.inv,
             table.identity, lambda i: str(HElement(*table.members[i])))

@@ -10,6 +10,10 @@ Grammar for word text:
 reduced; the generator count k is the highest index mentioned in the text,
 even when that generator cancels away.  Expansion is eager, so the letter
 count before reduction is held to the enumeration bound.
+
+Images, verbal and marginal subgroups of a finite handle run on one indexed
+enumeration of its elements: on its cached n^2 table, on a quotient's word
+series W mod m^M, or letter by letter, whichever the word's cost picks.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from types import SimpleNamespace
 from .errors import WordSyntaxError
 from .fgl import FormalGroupLaw
 from .series import SeriesTuple, compose
-from .stdgrp import QuotientGroup, _enumeration_guard, default_bound
+from .stdgrp import QuotientGroup, _enumeration_guard, _payload, default_bound
 
 
 def _reduce(letters) -> tuple[tuple[int, int], ...]:
@@ -253,73 +257,6 @@ def word_series(w: WordExpr, law: FormalGroupLaw) -> WordSeries:
 # image, verbal and marginal subgroups on finite group handles
 
 
-class _CayleyTable:
-    """Integer-indexed multiplication table of a finite group handle.
-
-    An enumeration view: its elements are the indices 0..n-1, index i stands
-    for the handle's ``members[i]``, and ``mul``/``inv``/``evaluator`` act on
-    indices through a flat n^2 product list.  Built from the handle's public
-    elements/identity/mul/inv only, so every handle gets the same table.
-    """
-
-    def __init__(self, group):
-        members = list(group.elements)
-        n = len(members)
-        index = {el: i for i, el in enumerate(members)}
-
-        def index_of(el):
-            i = index.get(el)
-            if i is None:
-                raise ValueError(f"{el!r} is not among the group's {n} elements; "
-                                 "the handle is not closed under mul and inv")
-            return i
-
-        self.members = members
-        self.elements = range(n)
-        self._n = n
-        self._mul = [index_of(group.mul(a, b)) for a in members for b in members]
-        self._inv = [index_of(group.inv(a)) for a in members]
-        self.identity = index_of(group.identity)
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a * self._n + b]
-
-    def inv(self, a: int) -> int:
-        return self._inv[a]
-
-    def evaluator(self, w: WordExpr):
-        """w as a function of an index tuple, folded on the flat table."""
-        n, mul, inv, identity = self._n, self._mul, self._inv, self.identity
-        letters = [(gen - 1, sign > 0) for gen, sign in w.letters]
-
-        def evaluate(args):
-            acc = identity
-            for slot, positive in letters:
-                v = args[slot]
-                acc = mul[acc * n + (v if positive else inv[v])]
-            return acc
-
-        return evaluate
-
-    def lift(self, indices) -> set:
-        return {self.members[i] for i in indices}
-
-
-class _HandleView:
-    """The handle itself as an enumeration view, evaluating letter by letter."""
-
-    def __init__(self, group):
-        self._group = group
-        self.elements, self.identity = group.elements, group.identity
-        self.mul, self.inv = group.mul, group.inv
-
-    def evaluator(self, w: WordExpr):
-        return functools.partial(w.evaluate, self._group)
-
-    def lift(self, elements) -> set:
-        return set(elements)
-
-
 # One composition of the word series, its share of compiling W included, costs
 # about this many level-M kernel calls where kernel calls are cheapest: 130-380
 # calls plus 25-100 to compile on p-adic Heisenberg and multiplicative laws
@@ -331,78 +268,112 @@ class _HandleView:
 _COMPOSE_CALLS = 400
 
 
-class _PayloadView:
-    """A ``QuotientGroup`` as an enumeration view on payload tuples.
+class _Enumeration:
+    """A finite group handle with its elements numbered 0..n-1.
 
-    Its elements are the keys of the quotient's ``_by_payload``; ``mul`` and
-    ``inv`` are the quotient's level-M law kernels, each result looked up
-    there (the closure check); ``lift`` maps payload tuples back to elements.
+    Index i stands for ``members[i]``; ``keys[i]`` holds the arguments that a
+    product takes for it: its payloads on a ``QuotientGroup``, whose products
+    run on the level-M kernels, and ``(members[i],)`` on any other handle,
+    whose products run on its own ``mul``/``inv``.  Every product value (a
+    payload tuple, or an element) is looked up in one dict of indices, whose
+    failed lookup is the closure check.  ``tabulate`` swaps in the flat n^2
+    product table.
     """
 
-    def __init__(self, group: QuotientGroup):
-        by_payload, F, I, element = group._by_payload, group._F, group._I, group._element
+    def __init__(self, group):
+        self._quotient = quotient = group if isinstance(group, QuotientGroup) else None
+        if quotient is not None:
+            keys, members = zip(*quotient._by_payload.items())
+            values, mul, inv = keys, quotient._F, quotient._I
+            identity = tuple(map(_payload, quotient.identity))
+        else:
+            values = members = tuple(group.elements)
+            keys, mul, inv = [(m,) for m in members], group.mul, group.inv
+            identity = group.identity
+        index = {v: i for i, v in enumerate(values)}
 
-        def closed(v):
-            return v if v in by_payload else element(v)  # element raises the closure error
+        def index_of(v):
+            i = index.get(v)
+            if i is None:
+                if quotient is not None:
+                    quotient._element(v)  # raises the quotient's own closure error
+                raise ValueError(f"{v!r} is not among the group's {len(values)} elements; "
+                                 "the handle is not closed under mul and inv")
+            return i
 
-        self._group = group
-        self.elements = by_payload.keys()
-        self.identity = tuple(c.payload for c in group.identity)
-        self.mul = lambda a, b: closed(F(*a, *b))
-        self.inv = lambda a: closed(I(*a))
+        self.keys, self.members, self._index_of = keys, members, index_of
+        self.elements = range(len(values))
+        self.identity = index_of(identity)
+        self.mul = lambda a, b: index_of(mul(*keys[a], *keys[b]))
+        self.inv = lambda a: index_of(inv(*keys[a]))
+        self.table = self._inverses = None
+
+    def tabulate(self) -> _Enumeration:
+        """Replace mul and inv by lookups in the flat n^2 table."""
+        els, n, mul = self.elements, len(self.elements), self.mul
+        table = [mul(a, b) for a in els for b in els]
+        inverses = list(map(self.inv, els))
+        self.table, self._inverses, self.inv = table, inverses, inverses.__getitem__
+        self.mul = lambda a, b: table[a * n + b]
+        return self
 
     def _series_pays(self, w: WordExpr) -> bool:
         """Whether w is evaluated through its word series W mod m^M.
 
-        Exact only when M <= D*N: on arguments of valuation >= N every term
-        that truncation at degree D drops has valuation >= D*N >= M.  Taken
-        when it counts less work than the letter fold: |w| + (negative
-        letters) compositions plus n^k calls of W, against n^k*|w| kernel
-        calls."""
-        Q = self._group
-        if Q.M > Q.group.law.D * Q.group.N:
+        Only on a quotient, and exact only when M <= D*N: on arguments of
+        valuation >= N every term that truncation at degree D drops has
+        valuation >= D*N >= M.  Taken when it counts less work than the
+        letter fold: |w| + (negative letters) compositions plus n^k calls of
+        W, against n^k*|w| kernel calls."""
+        Q = self._quotient
+        if Q is None or Q.M > Q.group.law.D * Q.group.N:
             return False
-        tuples = len(Q.elements) ** w.k
+        tuples = len(self.elements) ** w.k
         compositions = len(w.letters) + sum(sign < 0 for _, sign in w.letters)
         return _COMPOSE_CALLS * compositions + tuples < tuples * len(w.letters)
 
     def evaluator(self, w: WordExpr):
-        """w as a function of a payload-tuple tuple: W mod m^M on the
-        concatenated payloads when that pays, else the letter fold."""
+        """w as a function of an index tuple: folded on the table when there
+        is one, else W mod m^M on the concatenated payloads when that pays,
+        else folded letter by letter."""
+        if self.table is not None:
+            n, table, inv, identity = len(self.elements), self.table, self._inverses, self.identity
+            letters = [(gen - 1, sign > 0) for gen, sign in w.letters]
+
+            def evaluate(args):
+                acc = identity
+                for slot, positive in letters:
+                    acc = table[acc * n + (args[slot] if positive else inv[args[slot]])]
+                return acc
+
+            return evaluate
         if not self._series_pays(w):
             return functools.partial(w.evaluate, self)
-        Q = self._group
+        Q, keys, index_of = self._quotient, self.keys, self._index_of
         W = word_series(w, Q.group.law).W.kernel(Q.M)
-        by_payload, element = Q._by_payload, Q._element
+        if w.k == 1:  # skips the concatenation, which costs about as much as W itself
+            return lambda args: index_of(W(*keys[args[0]]))
+        return lambda args: index_of(W(*sum(map(keys.__getitem__, args), ())))
 
-        def evaluate(args):  # the closure check of mul and inv, inlined
-            v = W(*sum(args, ()))
-            return v if v in by_payload else element(v)
-
-        return evaluate
-
-    def lift(self, payloads) -> set:
-        by_payload = self._group._by_payload
-        return {by_payload[v] for v in payloads}
+    def lift(self, indices) -> set:
+        return set(map(self.members.__getitem__, indices))
 
 
-def _view(w: WordExpr, group, bound: int):
-    """The handle's cached table, or a new one when enumerating w{G} costs at
-    least the n^2 products of the table and n^2 is within the bound; else the
-    payload view of a quotient, or the handle itself.  The cache lives on the
-    handle."""
-    table = getattr(group, "_cayley_table", None)
-    if table is not None:
-        return table
-    n = len(group.elements)
-    if n**w.k * len(w.letters) < n * n or n * n > bound:
-        return _PayloadView(group) if isinstance(group, QuotientGroup) else _HandleView(group)
-    table = _CayleyTable(group)
-    try:
-        group._cayley_table = table
-    except AttributeError:  # slotted or frozen handles rebuild it per call
-        pass
-    return table
+def _view(w: WordExpr, group, bound: int) -> _Enumeration:
+    """The handle's cached enumeration, tabulated when enumerating w{G} costs
+    at least the n^2 products of the table and n^2 is within the bound.  The
+    cache lives on the handle."""
+    view = getattr(group, "_enumeration", None)
+    if view is None:
+        view = _Enumeration(group)
+        try:
+            group._enumeration = view
+        except AttributeError:  # slotted or frozen handles rebuild it per call
+            pass
+    n = len(view.elements)
+    if view.table is None and n**w.k * len(w.letters) >= n * n and n * n <= bound:
+        view.tabulate()
+    return view
 
 
 def _image(w: WordExpr, view) -> set:
@@ -419,20 +390,18 @@ def word_image(w: WordExpr, group, bound: int | None = None) -> set:
 def verbal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
     """The subgroup generated by the word image."""
     view = _view(w, group, _enumeration_guard(len(group.elements) ** w.k, bound))
-    image = _image(w, view)
-    gens = image | {view.inv(g) for g in image}
-    mul = view.mul
-    seen = {view.identity}
-    frontier = [view.identity]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = mul(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    mul, seen, gens = view.mul, {view.identity}, []
+    for g in _image(w, view):
+        if g in seen:
+            continue
+        # g lies outside the subgroup reached so far, so it at least doubles it;
+        # that subgroup needs only g, and what g reaches needs every generator
+        gens.append(g)
+        frontier, step = seen, [g]
+        while frontier:
+            reached = {mul(a, s) for a in frontier for s in step} - seen
+            seen |= reached
+            frontier, step = reached, gens
     return view.lift(seen)
 
 

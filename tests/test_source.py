@@ -91,6 +91,26 @@ def test_one_word_fold():
     assert folds == {("words.py", "_fold")}, f"word folds: {sorted(folds)}"
 
 
+def test_one_enumeration():
+    # finite handles are enumerated by one indexed class, which picks the
+    # table, series or letter fold itself; a second class with evaluator and
+    # lift is a second enumeration, and a comprehension of products in atlas
+    # is a second Cayley table
+    views = {(name, node.name) for name, tree in _sources() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)
+             and {"evaluator", "lift"} & {f.name for f in node.body
+                                          if isinstance(f, ast.FunctionDef)}}
+    assert views == {("words.py", "_Enumeration")}, f"enumeration classes: {sorted(views)}"
+    atlas = dict(_sources())["atlas.py"]
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    tables = [f"atlas.py:{node.lineno} ({owner})" for owner, node in _calls(atlas, comprehensions)
+              if any(_callee(c) in ("mul", "_mul") for c in ast.walk(node)
+                     if isinstance(c, ast.Call))]
+    assert not tables, f"product tables built in atlas: {tables}"
+    assert ("validate_transversal", "_Enumeration") in {
+        (owner, _callee(node)) for owner, node in _calls(atlas)}
+
+
 def test_one_specialisation_path():
     # t-variables are evaluated by Specialisation alone (rings.specialise is
     # its one-shot form), and polynomial evaluation is shared only with series

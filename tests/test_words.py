@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -234,6 +235,23 @@ def _letterwise_reference(w, group):
     return image, seen, marginal
 
 
+class Leaky:
+    """A handle whose products leave its element list."""
+    elements = [0, 1, 2]
+    identity = 0
+
+    def mul(self, x, y):
+        return x + y
+
+    def inv(self, x):
+        return -x
+
+
+def _tabled(group) -> bool:
+    """Whether the handle's cached enumeration has its n^2 product table."""
+    return group._enumeration.table is not None
+
+
 @pytest.mark.parametrize("make, text, tabled", [
     (lambda: StandardGroup(builtin("heisenberg", padic(2, 5), 5), 1).quotient(3),
      "[x1, x2]", True),
@@ -248,14 +266,25 @@ def _letterwise_reference(w, group):
     # k = 1 and 3 letters on 64 elements: 192 products, below the 64^2 table
     (lambda: StandardGroup(builtin("heisenberg", padic(2, 5), 5), 1).quotient(3),
      "x1^3", False),
+    # a handle that is not a quotient, below the table: the letter fold on its own mul
+    pytest.param(lambda: HQuotient(inversion_extension(
+        StandardGroup(builtin("additive", eqchar(3, 3), 4), 1)), 3),
+        "x1^3", False, id="hquotient-x1^3-False"),
+    # products leave the element list; the untabled route refuses them too
+    pytest.param(Leaky, "x1^2", False, id="leaky-x1^2-False"),
 ])
 def test_cayley_table_matches_letterwise(make, text, tabled):
     group, w = make(), parse_word(text)
-    image, verbal, marginal = _letterwise_reference(w, group)
-    assert word_image(w, group) == image
-    assert verbal_subgroup(w, group) == verbal
-    assert marginal_subgroup(w, group) == marginal
-    assert hasattr(group, "_cayley_table") == tabled
+    if isinstance(group, Leaky):
+        for enumerate_ in (word_image, verbal_subgroup, marginal_subgroup):
+            with pytest.raises(ValueError, match="not closed"):
+                enumerate_(w, group)
+    else:
+        image, verbal, marginal = _letterwise_reference(w, group)
+        assert word_image(w, group) == image
+        assert verbal_subgroup(w, group) == verbal
+        assert marginal_subgroup(w, group) == marginal
+    assert _tabled(group) == tabled
 
 
 def test_cayley_table_respects_bound_and_closure():
@@ -263,19 +292,7 @@ def test_cayley_table_respects_bound_and_closure():
     w = parse_word("x1^64")
     # 64 letters on 64 elements reach the 64^2 table, but the bound is below it
     image = word_image(w, hq, bound=4000)
-    assert not hasattr(hq, "_cayley_table") and image == {hq.identity}
-
-    class Leaky:
-        """A handle whose products leave its element list."""
-        elements = [0, 1, 2]
-        identity = 0
-
-        def mul(self, x, y):
-            return x + y
-
-        def inv(self, x):
-            return -x
-
+    assert not _tabled(hq) and image == {hq.identity}
     with pytest.raises(ValueError, match="not closed"):
         word_image(parse_word("[x1, x2]"), Leaky())
 
@@ -289,7 +306,7 @@ def test_tuple_guard():
         marginal_subgroup(parse_word("x1^2"), hq, bound=1000)
 
 
-# -- the payload view of a quotient: letter fold or word series -----------------------------
+# -- an untabled quotient: letter fold or word series -----------------------------
 
 
 def heis_quotient(M):
@@ -320,8 +337,8 @@ def _count_series(monkeypatch) -> list:
 @pytest.mark.parametrize("name, text", [(name, text) for name, (_, k) in PAYLOAD_FIXTURES.items()
                                         for text in PAYLOAD_WORDS if parse_word(text).k <= k])
 def test_payload_view_matches_letterwise(monkeypatch, name, text, route):
-    # every quotient goes through the payload view, and the cost constant picks the route
-    monkeypatch.setattr(words, "_view", lambda w, group, bound: words._PayloadView(group))
+    # every quotient is enumerated untabled, and the cost constant picks the route
+    monkeypatch.setattr(words, "_view", lambda w, group, bound: words._Enumeration(group))
     monkeypatch.setattr(words, "_COMPOSE_CALLS", 0 if route == "series" else 10**9)
     series_calls = _count_series(monkeypatch)
     group, w = PAYLOAD_FIXTURES[name][0](), parse_word(text)
@@ -343,7 +360,7 @@ def test_payload_view_keeps_the_closure_check(monkeypatch, route):
         with pytest.raises(MaximalIdealError, match="not closed under mul and inv"):
             enumerate_(parse_word("x1^2"), hq)
     assert len(series_calls) == (3 if route == "series" else 0)
-    assert not hasattr(hq, "_cayley_table")
+    assert not _tabled(hq)
 
 
 def test_series_route_counted_work(monkeypatch):
@@ -361,7 +378,54 @@ def test_series_route_counted_work(monkeypatch):
     assert image == {w.evaluate(hq, (g,)) for g in hq.elements}
     small = heis_quotient(3)
     assert word_image(w, small) == {w.evaluate(small, (g,)) for g in small.elements}
-    assert len(series_calls) == 1 and not hasattr(small, "_cayley_table")
+    assert len(series_calls) == 1 and not _tabled(small)
+
+
+def test_verbal_closure_makes_about_n_log_n_products():
+    # x1^3 is onto the 4096-element quotient; closing its image under every
+    # image element makes 4096^2 products, while a generator kept only when it
+    # lies outside the subgroup reached so far at least doubles that subgroup
+    hq = heis_quotient(5)
+    n = len(hq.elements)
+    limit = 2 * n * math.ceil(math.log2(n))
+    F, products = hq._F, []
+
+    def counted(*payloads):
+        products.append(payloads)
+        if len(products) > limit:
+            raise AssertionError(f"verbal closure passed {limit} products")
+        return F(*payloads)
+
+    hq._F = counted
+    assert verbal_subgroup(parse_word("x1^3"), hq) == set(hq.elements)
+    assert len(products) <= limit
+
+
+class Permutations:
+    """S_n on tuples, its elements listed in a seeded order."""
+
+    def __init__(self, n, seed):
+        self.elements = list(itertools.permutations(range(n)))
+        random.Random(seed).shuffle(self.elements)
+        self.identity = tuple(range(n))
+
+    def mul(self, x, y):
+        return tuple(y[i] for i in x)
+
+    def inv(self, x):
+        return tuple(sorted(range(len(x)), key=x.__getitem__))
+
+
+def test_verbal_closure_needs_every_kept_generator():
+    # x1^30 on S5 is onto 1 and the 15 double transpositions, which generate
+    # A5; the closure keeps its generators in index order, so several element
+    # orders are tried (under one of them, stepping by the newest generator
+    # alone misses part of A5)
+    w = parse_word("x1^30")
+    for seed in range(10):
+        group = Permutations(5, seed)
+        verbal = verbal_subgroup(w, group)
+        assert len(verbal) == 60 and verbal == _letterwise_reference(w, group)[1]
 
 
 # F = (x + y)/(1 + xy) over Z/3^6, truncated at D = 4: not a polynomial law, so
