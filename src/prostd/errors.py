@@ -55,7 +55,8 @@ class WordSyntaxError(ValueError):
 
 
 class ExactnessError(ValueError):
-    """Exact (untruncated) coefficients are required for this operation."""
+    """Exact (untruncated) data is required for this operation: coefficients,
+    or a law whose truncation is invisible at the requested level."""
 
 
 class LawError(ValueError):

@@ -152,6 +152,23 @@ class FormalGroupLaw:
         }
 
 
+def _exact_polynomials(law: FormalGroupLaw) -> bool:
+    """Whether F and I satisfy the axioms as polynomials, with no term cut by
+    the truncation: checked again at a degree D' above every term of F(F, F)
+    and F(X, I(X)), D' = max(deg F^2, deg F * deg I) + 1."""
+    def degree(T):
+        return max(sum(alpha) for s in T for alpha, _ in s.terms)
+
+    D = max(degree(law.F) ** 2, degree(law.F) * degree(law.I)) + 1
+    F, I = (SeriesTuple(tuple(Series(s.spec, s.nvars, D, s.terms) for s in T))
+            for T in (law.F, law.I))
+    try:
+        _require_cancels(F, I, "inverse")
+    except LawError:
+        return False
+    return verify(F).ok
+
+
 def make_law(F: SeriesTuple) -> FormalGroupLaw:
     d = _check_law_shape(F)
     _require_law(F, "series tuple")

@@ -30,6 +30,7 @@ from .rings import (
     RingSpec,
     Specialisation,
     _rep_count,
+    eqchar,
     representatives,
 )
 from .stdgrp import _enumeration_guard
@@ -56,24 +57,6 @@ def _fp_trim(t: tuple) -> tuple:
     while n and t[n - 1] == 0:
         n -= 1
     return tuple(t[:n])
-
-
-def _fp_add(a: tuple, b: tuple, p: int) -> tuple:
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return _fp_trim(tuple((x + y) % p for x, y in zip(a, b)))
-
-
-def _fp_mul(a: tuple, b: tuple, p: int) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _fp_trim(tuple(out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +109,19 @@ class ExactPoly:
                     term *= q**e
                 acc += term
             return acc
-        acc = ()
+        # F_p[t] arithmetic of eqchar(p, K), with K above the value's degree
+        point = [_fp_trim(tuple(x % self.p for x in q)) for q in point]
+        K = max((len(c) + sum(e * (len(q) - 1) for q, e in zip(point, alpha) if q)
+                 for alpha, c in self.coeffs.items()), default=1)
+        ops = eqchar(self.p, K).ops
+        acc = ops.zero
         for alpha, c in self.coeffs.items():
-            term = c
+            term = c + (0,) * (K - len(c))
             for q, e in zip(point, alpha):
-                q = _fp_trim(tuple(x % self.p for x in q))
                 for _ in range(e):
-                    term = _fp_mul(term, q, self.p)
-            acc = _fp_add(acc, term, self.p)
-        return acc
+                    term = ops.mul(term, q + (0,) * (K - len(q)))
+            acc = ops.add(acc, term)
+        return _fp_trim(acc)
 
     def __eq__(self, other):
         return (isinstance(other, ExactPoly) and self.m == other.m

@@ -15,8 +15,8 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import EnumerationBoundError, LawError, MaximalIdealError
-from .fgl import FormalGroupLaw
+from .errors import EnumerationBoundError, ExactnessError, LawError, MaximalIdealError
+from .fgl import FormalGroupLaw, _exact_polynomials
 from .rings import Coefficient, _rep_count, parse_coefficient, representatives
 from .series import SeriesTuple, substitute
 
@@ -161,6 +161,9 @@ class QuotientGroup:
 
     Products run on the law's level-M kernels; their payload tuples map back
     to elements through one dict, whose failed lookup is the closure check.
+    Above M = D*N a law truncated at degree D is refused unless truncation
+    cuts nothing from it: otherwise the dropped terms, of valuation >= D*N,
+    are visible mod m^M.
     """
 
     def __init__(self, group: StandardGroup, M: int, bound: int | None = None):
@@ -171,6 +174,12 @@ class QuotientGroup:
         count = _rep_count(spec, group.N, M)
         bound = _enumeration_guard(count, bound)
         _enumeration_guard(count ** group.law.d, bound)
+        law = group.law
+        if M > law.D * group.N and not _exact_polynomials(law):
+            raise ExactnessError(
+                f"quotient level M={M} exceeds D*N={law.D * group.N} for a law that truncation "
+                f"at D={law.D} changes, so its products are wrong mod m^M; "
+                f"raise D to {-(-M // group.N)}")
         reps = representatives(spec, group.N, M)
         d = group.law.d
         self.group = group

@@ -12,14 +12,17 @@ even when that generator cancels away.  Expansion is eager, so the letter
 count before reduction is held to the enumeration bound.
 
 Images, verbal and marginal subgroups of a finite handle run on one indexed
-enumeration of its elements: on its cached n^2 table, on a quotient's word
-series W mod m^M, or letter by letter, whichever the word's cost picks.
+enumeration of its elements, cached on the handle.  One rule,
+``_Enumeration.evaluator``, routes each word: it counts the products of the
+n^2 table, of a quotient's word series W mod m^M and of the letter fold, and
+takes the least.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -229,9 +232,10 @@ def _fold(w: WordExpr, law: FormalGroupLaw, ext, cosets) -> tuple[str, SeriesTup
     nv = d * w.k
     cur = ext.T.identity
     acc = SeriesTuple.zeros(spec, d, nv, D)
+    blocks = [SeriesTuple.block(spec, nv, D, i * d, d) for i in range(w.k)]
     for gen, sign in w.letters:
         t = r = cosets[gen - 1]
-        u = SeriesTuple.block(spec, nv, D, (gen - 1) * d, d)
+        u = blocks[gen - 1]
         if sign < 0:
             r = ext.T.inv[t]
             u = _apply(ext.charts, r, compose(law.I, u), compose)
@@ -317,52 +321,45 @@ class _Enumeration:
         self.mul = lambda a, b: table[a * n + b]
         return self
 
-    def _series_pays(self, w: WordExpr) -> bool:
-        """Whether w is evaluated through its word series W mod m^M.
-
-        Only on a quotient, and exact only when M <= D*N: on arguments of
-        valuation >= N every term that truncation at degree D drops has
-        valuation >= D*N >= M.  Taken when it counts less work than the
-        letter fold: |w| + (negative letters) compositions plus n^k calls of
-        W, against n^k*|w| kernel calls."""
-        Q = self._quotient
-        if Q is None or Q.M > Q.group.law.D * Q.group.N:
-            return False
-        tuples = len(self.elements) ** w.k
-        compositions = len(w.letters) + sum(sign < 0 for _, sign in w.letters)
-        return _COMPOSE_CALLS * compositions + tuples < tuples * len(w.letters)
-
-    def evaluator(self, w: WordExpr):
-        """w as a function of an index tuple: folded on the table when there
-        is one, else W mod m^M on the concatenated payloads when that pays,
-        else folded letter by letter."""
-        if self.table is not None:
-            n, table, inv, identity = len(self.elements), self.table, self._inverses, self.identity
-            letters = [(gen - 1, sign > 0) for gen, sign in w.letters]
-
-            def evaluate(args):
-                acc = identity
-                for slot, positive in letters:
-                    acc = table[acc * n + (args[slot] if positive else inv[args[slot]])]
-                return acc
-
-            return evaluate
-        if not self._series_pays(w):
+    def evaluator(self, w: WordExpr, bound: int):
+        """w as a function of an index tuple, on the route that counts the
+        fewest products (ties go to the table, then the fold): the n^2 table,
+        free once built and tabulated here when within the bound; W mod m^M,
+        |w| + (negative letters) compositions and n calls, for one-generator
+        words on a quotient with M <= D*N, where truncation at degree D drops
+        only terms of valuation >= D*N >= M; or the letter fold, n^k*|w|.
+        For k >= 2 the table never costs more than the n^k tuples."""
+        n, Q = len(self.elements), self._quotient
+        costs = {"table": 0 if self.table is not None else n * n if n * n <= bound else math.inf,
+                 "fold": n**w.k * len(w.letters), "series": math.inf}
+        if w.k == 1 and Q is not None and Q.M <= Q.group.law.D * Q.group.N:
+            negatives = sum(sign < 0 for _, sign in w.letters)
+            costs["series"] = _COMPOSE_CALLS * (len(w.letters) + negatives) + n
+        route = min(costs, key=costs.get)
+        if route == "fold":
             return functools.partial(w.evaluate, self)
-        Q, keys, index_of = self._quotient, self.keys, self._index_of
-        W = word_series(w, Q.group.law).W.kernel(Q.M)
-        if w.k == 1:  # skips the concatenation, which costs about as much as W itself
+        if route == "series":
+            keys, index_of = self.keys, self._index_of
+            W = word_series(w, Q.group.law).W.kernel(Q.M)
             return lambda args: index_of(W(*keys[args[0]]))
-        return lambda args: index_of(W(*sum(map(keys.__getitem__, args), ())))
+        table = self.table or self.tabulate().table
+        inv, identity = self._inverses, self.identity
+        letters = [(gen - 1, sign > 0) for gen, sign in w.letters]
+
+        def evaluate(args):
+            acc = identity
+            for slot, positive in letters:
+                acc = table[acc * n + (args[slot] if positive else inv[args[slot]])]
+            return acc
+
+        return evaluate
 
     def lift(self, indices) -> set:
         return set(map(self.members.__getitem__, indices))
 
 
-def _view(w: WordExpr, group, bound: int) -> _Enumeration:
-    """The handle's cached enumeration, tabulated when enumerating w{G} costs
-    at least the n^2 products of the table and n^2 is within the bound.  The
-    cache lives on the handle."""
+def _view(group) -> _Enumeration:
+    """The handle's enumeration, cached on the handle."""
     view = getattr(group, "_enumeration", None)
     if view is None:
         view = _Enumeration(group)
@@ -370,28 +367,28 @@ def _view(w: WordExpr, group, bound: int) -> _Enumeration:
             group._enumeration = view
         except AttributeError:  # slotted or frozen handles rebuild it per call
             pass
-    n = len(view.elements)
-    if view.table is None and n**w.k * len(w.letters) >= n * n and n * n <= bound:
-        view.tabulate()
     return view
 
 
-def _image(w: WordExpr, view) -> set:
-    evaluate = view.evaluator(w)
+def _image(w: WordExpr, view, bound: int) -> set:
+    evaluate = view.evaluator(w, bound)
     return {evaluate(args) for args in itertools.product(view.elements, repeat=w.k)}
 
 
 def word_image(w: WordExpr, group, bound: int | None = None) -> set:
     """w{G} = all word values over a finite group handle."""
-    view = _view(w, group, _enumeration_guard(len(group.elements) ** w.k, bound))
-    return view.lift(_image(w, view))
+    bound = _enumeration_guard(len(group.elements) ** w.k, bound)
+    view = _view(group)
+    return view.lift(_image(w, view, bound))
 
 
 def verbal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
     """The subgroup generated by the word image."""
-    view = _view(w, group, _enumeration_guard(len(group.elements) ** w.k, bound))
-    mul, seen, gens = view.mul, {view.identity}, []
-    for g in _image(w, view):
+    bound = _enumeration_guard(len(group.elements) ** w.k, bound)
+    view = _view(group)
+    image = _image(w, view, bound)
+    mul, seen, gens = view.mul, {view.identity}, []  # read after the route may tabulate
+    for g in image:
         if g in seen:
             continue
         # g lies outside the subgroup reached so far, so it at least doubles it;
@@ -407,8 +404,10 @@ def verbal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
 
 def marginal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
     """Elements g with w(.., g*x_i, ..) = w(.., x_i, ..) in every slot, always."""
-    view = _view(w, group, _enumeration_guard(len(group.elements) ** (w.k + 1), bound))
-    evaluate, mul = view.evaluator(w), view.mul
+    bound = _enumeration_guard(len(group.elements) ** (w.k + 1), bound)
+    view = _view(group)
+    evaluate = view.evaluator(w, bound)
+    mul = view.mul  # read after the route may tabulate
     # each argument tuple is evaluated once; a shift is a lookup of its value
     values = {args: evaluate(args) for args in itertools.product(view.elements, repeat=w.k)}
 

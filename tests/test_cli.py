@@ -107,6 +107,19 @@ def test_domain_errors_exit_one(samples, capsys):
     assert err == "error: ValueError: grid depth must be in 1..3, got 0\n"
 
 
+def test_truncation_visible_quotient_exits_one(capsys):
+    # the inverse of x + y + xy is cut at D=3, which the level-6 quotient sees;
+    # with --D 8 the same abelian image is the identity alone
+    argv = ["word", "image", "--word", "[x1, x2]", "--M", "6", "--law", "multiplicative",
+            "--p", "2", "--K", "8"]
+    code, out, err = run(capsys, argv + ["--D", "3"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ExactnessError: quotient level M=6 exceeds D*N=3 ")
+    assert err.count("\n") == 1
+    code, out, err = run(capsys, argv + ["--D", "8"])
+    assert code == 0 and "size: 1" in out and err == ""
+
+
 @pytest.mark.parametrize("text", ["abc", "-5"])
 def test_bad_enum_bound_env_exits_one(monkeypatch, capsys, text):
     monkeypatch.setenv("PROSTD_ENUM_BOUND", text)

@@ -197,3 +197,22 @@ def test_kernel_sources_hold_only_ints_names_operators_and_closures(monkeypatch)
     assert len(emitted) >= 20
     for T, source, names in emitted:
         _check_kernel_source(T, source, names)
+
+
+def test_one_route_rule():
+    # the table, the word series and the letter fold are chosen in one place,
+    # _Enumeration.evaluator, by counted products; atlas validation is the one
+    # other caller that tabulates, and no argument payloads are concatenated
+    sources = dict(_sources())
+    tabulators = {(name, owner) for name, tree in sources.items()
+                  for owner, node in _calls(tree) if _callee(node) == "tabulate"}
+    assert tabulators == {("words.py", "_Enumeration.evaluator"),
+                          ("atlas.py", "validate_transversal")}, sorted(tabulators)
+    words = sources["words.py"]
+    route_names = {(owner, node.id) for owner, node in _calls(words, ast.Name)
+                   if node.id in ("_COMPOSE_CALLS", "word_series")
+                   and isinstance(node.ctx, ast.Load)}
+    assert route_names == {("_Enumeration.evaluator", "_COMPOSE_CALLS"),
+                           ("_Enumeration.evaluator", "word_series")}, sorted(route_names)
+    package = pathlib.Path(prostd.__file__).resolve().parent
+    assert "sum(map(" not in (package / "words.py").read_text(encoding="utf-8")

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from oracles import HeisQuotient, heis_coords, heis_inv_mat, heis_mat, mat_mul
-from prostd.errors import EnumerationBoundError, MaximalIdealError
+from prostd.errors import EnumerationBoundError, ExactnessError, MaximalIdealError
 from prostd.fgl import builtin
 from prostd.rings import Coefficient, eqchar, padic, random_ideal_element
 from prostd import stdgrp
@@ -166,6 +166,32 @@ def test_quotient_refuses_before_enumerating(monkeypatch):
         G.quotient(21, bound=1)
     assert built == []
     assert len(G.quotient(2)) == 8 and built == [(G.law.spec, 1, 2)]
+
+
+def test_quotient_refuses_truncation_visible_levels(monkeypatch):
+    # above M = D*N a law truncated at D is wrong mod m^M unless truncation
+    # cuts nothing from it; the refusal comes before any representative
+    built = []
+    real = stdgrp.representatives
+    monkeypatch.setattr(stdgrp, "representatives", lambda *a: built.append(a) or real(*a))
+    mult = StandardGroup(builtin("multiplicative", padic(2, 8), 3), 1)  # its inverse is cut
+    with pytest.raises(ExactnessError, match=r"^quotient level M=6 exceeds D\*N=3 .* raise D to 6$"):
+        mult.quotient(6)
+    with pytest.raises(ExactnessError, match="M=4 exceeds D\\*N=3"):
+        mult.quotient(4)
+    assert built == []
+    # at M <= D*N the same law builds, and here x * x^-1 = e for every element
+    Q = mult.quotient(3)
+    assert all(Q.mul(x, Q.inv(x)) == Q.identity for x in Q.elements)
+    with pytest.raises(ExactnessError, match="M=7 exceeds D\\*N=6"):
+        StandardGroup(mult.law, 2).quotient(7)
+    assert len(StandardGroup(mult.law, 2).quotient(6)) == 16
+    # exact polynomial laws (additive, Heisenberg) build above D*N
+    additive = StandardGroup(builtin("additive", padic(3, 6), 2, dim=2), 1)
+    assert len(additive.quotient(4)) == 27**2
+    heis = heis_group(K=8, D=3)
+    Q = heis.quotient(5)
+    assert len(Q) == 16**3 and all(Q.mul(x, Q.inv(x)) == Q.identity for x in Q.elements[:64])
 
 
 def test_enum_bound_env_override(monkeypatch):

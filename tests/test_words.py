@@ -1,15 +1,17 @@
+import functools
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from oracles import HeisQuotient
 from prostd.atlas import HQuotient, inversion_extension
 from prostd import words
-from prostd.errors import EnumerationBoundError, MaximalIdealError, WordSyntaxError
+from prostd.errors import EnumerationBoundError, ExactnessError, MaximalIdealError, WordSyntaxError
 from prostd.fgl import builtin, law_from_json
-from prostd.rings import Coefficient, eqchar, nested, padic, random_ideal_element
+from prostd.rings import Coefficient, eqchar, nested, padic, random_ideal_element, representatives
 from prostd.series import Series, SeriesTuple
 from prostd.stdgrp import QuotientGroup, StandardGroup
 from prostd.words import (
@@ -293,6 +295,9 @@ def test_cayley_table_respects_bound_and_closure():
     # 64 letters on 64 elements reach the 64^2 table, but the bound is below it
     image = word_image(w, hq, bound=4000)
     assert not _tabled(hq) and image == {hq.identity}
+    # within the bound the table's 64^2 products tie with the fold's 64*64
+    # letters, and a tie goes to the table
+    assert word_image(w, hq) == image and _tabled(hq)
     with pytest.raises(ValueError, match="not closed"):
         word_image(parse_word("[x1, x2]"), Leaky())
 
@@ -333,20 +338,31 @@ def _count_series(monkeypatch) -> list:
     return calls
 
 
+def _count_tables(monkeypatch) -> list:
+    built = []
+    real = words._Enumeration.tabulate
+    monkeypatch.setattr(words._Enumeration, "tabulate", lambda self: built.append(self) or real(self))
+    return built
+
+
 @pytest.mark.parametrize("route", ["fold", "series"])
 @pytest.mark.parametrize("name, text", [(name, text) for name, (_, k) in PAYLOAD_FIXTURES.items()
                                         for text in PAYLOAD_WORDS if parse_word(text).k <= k])
 def test_payload_view_matches_letterwise(monkeypatch, name, text, route):
-    # every quotient is enumerated untabled, and the cost constant picks the route
-    monkeypatch.setattr(words, "_view", lambda w, group, bound: words._Enumeration(group))
+    # each call enumerates the quotient afresh, and the cost constant picks the
+    # series or the fold for one-generator words; words in k >= 2 generators
+    # go to the table, which never costs more than their n^k tuples, even
+    # when compositions are counted free
+    monkeypatch.setattr(words, "_view", lambda group: words._Enumeration(group))
     monkeypatch.setattr(words, "_COMPOSE_CALLS", 0 if route == "series" else 10**9)
-    series_calls = _count_series(monkeypatch)
+    series_calls, tables = _count_series(monkeypatch), _count_tables(monkeypatch)
     group, w = PAYLOAD_FIXTURES[name][0](), parse_word(text)
     image, verbal, marginal = _letterwise_reference(w, group)
     assert word_image(w, group) == image
     assert verbal_subgroup(w, group) == verbal
     assert marginal_subgroup(w, group) == marginal
-    assert len(series_calls) == (3 if route == "series" else 0)
+    assert len(series_calls) == (3 if route == "series" and w.k == 1 else 0)
+    assert len(tables) == (0 if w.k == 1 else 3)
 
 
 @pytest.mark.parametrize("route", ["fold", "series"])
@@ -379,6 +395,57 @@ def test_series_route_counted_work(monkeypatch):
     small = heis_quotient(3)
     assert word_image(w, small) == {w.evaluate(small, (g,)) for g in small.elements}
     assert len(series_calls) == 1 and not _tabled(small)
+
+
+def _route(view, w, bound, series_calls) -> str:
+    """The route the enumeration takes for w: series, fold or table."""
+    before = len(series_calls)
+    evaluate = view.evaluator(w, bound)
+    if len(series_calls) > before:
+        return "series"
+    return "fold" if isinstance(evaluate, functools.partial) else "table"
+
+
+def test_series_beats_the_table_for_a_long_power(monkeypatch):
+    # x1^514 on 512 elements: 514*400 + 512 products through W mod m^4 count
+    # fewer than the 512^2 of the table, which the fold's 512*514 exceed too
+    series_calls = _count_series(monkeypatch)
+    hq, w = heis_quotient(4), parse_word("x1^514")
+    assert _route(words._view(hq), w, 10**6, series_calls) == "series" and not _tabled(hq)
+    image, verbal, marginal = _letterwise_reference(w, hq)
+    assert word_image(w, hq) == image and len(image) == 64
+    assert verbal_subgroup(w, hq) == verbal
+    assert marginal_subgroup(w, hq) == marginal
+    assert len(series_calls) == 4 and not _tabled(hq)
+
+
+def test_negative_letters_count_their_inversions(monkeypatch):
+    # on 512 elements x1^5 takes W (5*400 + 512 < 5*512 products), while
+    # x1^-5 also composes five inverses (10*400 + 512) and is folded
+    series_calls = _count_series(monkeypatch)
+    view = words._view(heis_quotient(4))
+    assert _route(view, parse_word("x1^5"), 10**6, series_calls) == "series"
+    assert _route(view, parse_word("x1^-5"), 10**6, series_calls) == "fold"
+
+
+def test_benchmark_query_routes(monkeypatch):
+    # the dense quotient (M=3, 64 elements): the set-up x1^2 and the x1^e
+    # marginals are folded letter by letter until a table exists, and images
+    # and closures of words in two generators build it; the sparse quotient
+    # (M=5, 4096 elements, no table within the bound) takes W for x1^(+-2, +-3)
+    series_calls = _count_series(monkeypatch)
+    dense = words._view(heis_quotient(3))
+    marginals = ["x1^2", "x1^3", "x1^-5", "x1^6"]
+    for text in ["x1^2"] + marginals:
+        assert _route(dense, parse_word(text), 10**6, series_calls) == "fold", text
+    for text in ["[x1, x2]", "x1^2 x2^2", "[x1^2, x2]", "x1 x2 x1^-1"]:
+        assert _route(dense, parse_word(text), 10**6, series_calls) == "table", text
+    for text in marginals:  # a built table costs nothing
+        assert _route(dense, parse_word(text), 64**2, series_calls) == "table", text
+    sparse = words._view(heis_quotient(5))
+    for text in ["x1^2", "x1^-2", "x1^3", "x1^-3"]:
+        assert _route(sparse, parse_word(text), 10**6, series_calls) == "series", text
+    assert sparse.table is None
 
 
 def test_verbal_closure_makes_about_n_log_n_products():
@@ -447,15 +514,19 @@ def test_series_route_needs_M_at_most_DN(monkeypatch):
     assert verbal_subgroup(w, at_DN) == verbal
     assert marginal_subgroup(w, at_DN) == marginal
     assert len(series_calls) == 3
-    above = G.quotient(5)
-    image, verbal, marginal = _letterwise_reference(w, above)
-    assert word_image(w, above) == image
-    assert marginal_subgroup(w, above) == marginal
+    # an exact law builds above D*N, but W is exact only up to D*N: folded
+    above = StandardGroup(builtin("heisenberg", padic(2, 5), 3), 1).quotient(4)
+    assert _route(words._view(above), w, 10**6, series_calls) == "fold"
     assert len(series_calls) == 3
-    # the precondition is not idle: at M = 6 the truncated series of x1^3
-    # disagrees with the fold on most arguments
-    at_6 = G.quotient(6)
+    # above D*N truncation is visible in this law, so its quotients are refused
+    for M in (5, 6):
+        with pytest.raises(ExactnessError, match=f"^quotient level M={M} exceeds D\\*N=4 "):
+            G.quotient(M)
+    # the refusal is not idle: mod 3^6 the truncated series of x1^3 disagrees
+    # with the letter fold of the kernel on most level-1 representatives
+    F = law.F.kernel(6)
+    fold = SimpleNamespace(identity=(0,), mul=lambda x, y: F(*x, *y))
+    reps = [(c.payload,) for c in representatives(law.spec, 1, 6)]
     W = word_series(w, law).W.kernel(6)
-    differ = sum(W(*(c.payload for c in g)) != tuple(c.payload for c in w.evaluate(at_6, (g,)))
-                 for g in at_6.elements)
-    assert differ == 162 and len(at_6.elements) == 243
+    differ = sum(W(*a) != w.evaluate(fold, (a,)) for a in reps)
+    assert differ == 162 and len(reps) == 243
