@@ -15,7 +15,8 @@ Images, verbal and marginal subgroups of a finite handle run on one indexed
 enumeration of its elements, cached on the handle.  One rule,
 ``_Enumeration.evaluator``, routes each word: it counts the products of the
 n^2 table, of a quotient's word series W mod m^M and of the letter fold, and
-takes the least.
+takes the least.  One doubling closure, ``_Enumeration.closure``, generates
+verbal subgroups and the generating set of Light's associativity test.
 """
 
 from __future__ import annotations
@@ -354,6 +355,50 @@ class _Enumeration:
 
         return evaluate
 
+    def closure(self, candidates) -> tuple[set, list]:
+        """The indices reached from the identity by right products with the
+        candidates, and the candidates kept as generators, in order.  A
+        candidate is kept only when it lies outside the set reached so far,
+        which it then at least doubles in a group, so at most log2 n are
+        kept.  Every reached index is a left-bracketed product
+        ((e·s1)·s2)·..·sk of kept generators, read off ``mul`` alone."""
+        mul, seen, gens = self.mul, {self.identity}, []
+        for g in candidates:
+            if g in seen:
+                continue
+            # what was reached needs only g, and what g reaches needs every generator
+            gens.append(g)
+            frontier, step = seen, [g]
+            while frontier:
+                reached = {mul(a, s) for a in frontier for s in step} - seen
+                seen |= reached
+                frontier, step = reached, gens
+        return seen, gens
+
+    def associative(self) -> bool:
+        """Light's associativity test on the tabulated product: True proves
+        that all n^3 triples associate.  False means a check failed, or the
+        closure of all indices missed an element, so that the kept
+        generators are not held to log2 n; only the full scan tells which
+        triples fail.
+
+        The middles g with (x·g)·z = x·(g·z) for every x, z form a closed
+        set.  Every reached element is a product of the identity and the
+        kept generators S, so when these pass their n^2·(|S| + 1) checks,
+        every element passes (Clifford & Preston, The Algebraic Theory of
+        Semigroups, vol. I, 1961)."""
+        n, table = len(self.elements), self.table
+        reached, gens = self.closure(self.elements)
+        if len(reached) < n:
+            return False
+        rows = [tuple(table[x * n:(x + 1) * n]) for x in self.elements]
+        for g in (self.identity, *gens):
+            right = rows[g]  # g·z for every z
+            # row x·g lists (x·g)·z; x·(g·z) picks the entries g·z of row x
+            if any(rows[row[g]] != tuple(map(row.__getitem__, right)) for row in rows):
+                return False
+        return True
+
     def lift(self, indices) -> set:
         return set(map(self.members.__getitem__, indices))
 
@@ -386,20 +431,8 @@ def verbal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
     """The subgroup generated by the word image."""
     bound = _enumeration_guard(len(group.elements) ** w.k, bound)
     view = _view(group)
-    image = _image(w, view, bound)
-    mul, seen, gens = view.mul, {view.identity}, []  # read after the route may tabulate
-    for g in image:
-        if g in seen:
-            continue
-        # g lies outside the subgroup reached so far, so it at least doubles it;
-        # that subgroup needs only g, and what g reaches needs every generator
-        gens.append(g)
-        frontier, step = seen, [g]
-        while frontier:
-            reached = {mul(a, s) for a in frontier for s in step} - seen
-            seen |= reached
-            frontier, step = reached, gens
-    return view.lift(seen)
+    reached, _ = view.closure(_image(w, view, bound))
+    return view.lift(reached)
 
 
 def marginal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import pathlib
 import random
@@ -7,6 +9,8 @@ import sys
 import pytest
 
 import prostd
+from prostd import atlas
+from prostd.cli import _sample_objects
 from prostd.atlas import (
     CosetTable,
     HElement,
@@ -30,7 +34,8 @@ from prostd.series import Series, SeriesTuple, compose
 from prostd.specialise import Specialisation
 from prostd.rings import PrecisionReduction, nested
 from prostd.stdgrp import StandardGroup
-from prostd.words import parse_word, word_series
+from prostd.words import _Enumeration, parse_word, word_series
+from test_kernel import corrected_extensions
 
 
 def additive_group(p=2, K=4, D=4, N=1):
@@ -158,6 +163,15 @@ def test_validate_sampled_mode():
             validate_transversal(data, samples=samples)
 
 
+def _skew():
+    # x + x^2 is a homomorphism mod m^3 (the cross term 2xy has valuation 3)
+    # but not mod m^4, so the level-4 sweep must flag it
+    L = additive_group()
+    x = identity_series(L.law.spec, 1, 4)[0]
+    return TransversalData(L=L, T=cyclic_table(2),
+                           C={"1": SeriesTuple.of(x), "s": SeriesTuple.of(x + x * x)})
+
+
 def test_validate_flags_corrupt_data():
     L = additive_group()
     T = cyclic_table(2)
@@ -169,13 +183,7 @@ def test_validate_flags_corrupt_data():
     report = validate_transversal(broken)
     assert not report.ok and report.failures[0].startswith("coset table:")
 
-    # x + x^2 is a homomorphism mod m^3 (the cross term 2xy has valuation 3)
-    # but not mod m^4, so the level-4 sweep must flag it
-    x = identity_series(L.law.spec, 1, 4)[0]
-    skew = TransversalData(L=L, T=T,
-                           C={"1": SeriesTuple.of(x), "s": SeriesTuple.of(x + x * x)},
-                           A={})
-    report = validate_transversal(skew, level=4)
+    report = validate_transversal(_skew(), level=4)
     assert not report.ok and report.checked == 16**3
     assert report.failures == (
         "associativity fails at ((1; 2), (1; 2), (s; 0))",
@@ -214,6 +222,203 @@ def test_validate_sampled_failures_ignore_hash_seed():
                               capture_output=True, text=True, check=True)
         outputs.add(proc.stdout)
     assert len(outputs) == 1 and "inverse fails" in outputs.pop()
+
+
+def test_pointwise_failures_stop_at_limit():
+    # both unit checks of an element may fail before the limit is checked
+    failures = atlas._pointwise_failures([(0, 0, 0), (2, 2, 2)], lambda a, b: (a + b) % 3,
+                                         lambda a: -a % 3, 1, str, limit=3)
+    assert failures == ["identity fails at 0", "inverse fails at 0", "identity fails at 2"]
+    # through the public API: the third failure is an identity failure
+    data = list(corrected_extensions())[1]
+    report = validate_transversal(data, samples=5, seed=0)
+    assert report.failures == ("identity fails at (s; 1*t)", "inverse fails at (s; 1*t)",
+                               "identity fails at (s; 2*t+1*t^2)")
+
+
+# -- Light's associativity test against the full scan ----------------------------------
+
+
+def _broken_inverse():
+    L = additive_group()
+    x = identity_series(L.law.spec, 1, 4)[0]
+    return TransversalData(L=L, T=cyclic_table(2),
+                           C={"1": SeriesTuple.of(x), "s": SeriesTuple.of(x)},
+                           A={("inv", "s"): SeriesTuple.of(x + x * x)})
+
+
+def extension_fixtures():
+    """(name, data, exhaustive levels): the extensions of these tests, of the
+    kernel tests and of the sample data, with skew and broken ones."""
+    mult = StandardGroup(builtin("multiplicative", padic(3, 3), 6), 1)
+    heis = StandardGroup(builtin("heisenberg", padic(2, 4), 4), 1)
+    yield "inversion-additive", inversion_extension(additive_group()), (2, 3, 4)
+    yield "inversion-multiplicative", inversion_extension(mult), (2, 3)
+    yield "inversion-eqchar", inversion_extension(
+        StandardGroup(builtin("additive", eqchar(2, 3), 4), 1)), (2, 3)
+    yield "direct-heisenberg", direct_product(heis, cyclic_table(3)), (2,)
+    yield "skew", _skew(), (3, 4)
+    yield "broken-inverse", _broken_inverse(), (3, 4)
+    for i, data in enumerate(corrected_extensions()):
+        yield f"corrected-{i}", data, (2, 3)
+    for name in ("inversion_p2.json", "inversion_p3.json", "dirprod.json"):
+        yield name, extension_from_json(_sample_objects()[name]), (2,)
+
+
+def _associates(table, n) -> bool:
+    return all(table[table[x * n + y] * n + z] == table[x * n + table[y * n + z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def _full_scan_report(monkeypatch, data, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(_Enumeration, "associative", lambda self: False)
+        return validate_transversal(data, **kwargs)
+
+
+def _sampled_reference(data, samples, seed):
+    """The sampled check through TransversalData.mul and inv on HElements."""
+    rng = random.Random(seed)
+    spec, d = data.L.law.spec, data.L.d
+    triples = [tuple(HElement(rng.choice(data.T.elements),
+                              tuple(random_ideal_element(spec, data.L.N, rng) for _ in range(d)))
+                     for _ in range(3))
+               for _ in range(samples)]
+    return tuple(atlas._pointwise_failures(triples, data.mul, data.inv, data.identity, str))
+
+
+@pytest.mark.parametrize("data, levels", [pytest.param(data, levels, id=name)
+                                          for name, data, levels in extension_fixtures()])
+def test_light_test_matches_full_scan_on_fixtures(monkeypatch, data, levels):
+    for level in levels:
+        table = _Enumeration(HQuotient(data, level)).tabulate()
+        n = len(table.elements)
+        reached, gens = table.closure(table.elements)
+        assert table.associative() == (_associates(table.table, n) and len(reached) == n)
+        assert len(gens) <= math.log2(n) or not table.associative()
+        assert validate_transversal(data, level=level) == \
+            _full_scan_report(monkeypatch, data, level=level)
+    assert validate_transversal(data) == _full_scan_report(monkeypatch, data)
+    for seed in (0, 3):
+        report = validate_transversal(data, samples=12, seed=seed)
+        assert report.failures == _sampled_reference(data, 12, seed)
+
+
+def _corrupting(monkeypatch, edits):
+    """Overwrite table entries (flat index, value) right after tabulation."""
+    tabulate = _Enumeration.tabulate
+
+    def corrupted(self):
+        tabulate(self)
+        for i, v in edits:
+            self.table[i] = v
+        return self
+
+    monkeypatch.setattr(_Enumeration, "tabulate", corrupted)
+
+
+def test_light_test_matches_full_scan_on_corrupted_tables(monkeypatch):
+    # one or two entries of the level-4 inversion table (n = 16) overwritten
+    data = inversion_extension(additive_group())
+    clean = _Enumeration(HQuotient(data, 4)).tabulate()
+    n = len(clean.elements)
+    rng = random.Random(12)
+    verdicts = []
+    for _ in range(200):
+        edits = [(rng.randrange(n * n), rng.randrange(n)) for _ in range(rng.choice((1, 2)))]
+        table = _Enumeration(HQuotient(data, 4)).tabulate()
+        for i, v in edits:
+            table.table[i] = v
+        reached, _ = table.closure(table.elements)
+        verdict = table.associative()
+        assert verdict == (_associates(table.table, n) and len(reached) == n)
+        verdicts.append(verdict)
+        with monkeypatch.context() as m:
+            _corrupting(m, edits)
+            fast = validate_transversal(data, level=4)
+            assert fast == _full_scan_report(m, data, level=4)
+    # most draws break associativity; the rest overwrite an entry with itself
+    assert 0 < verdicts.count(True) < 20
+
+
+class _Magma:
+    """A finite handle on a given product table, for tables no extension makes."""
+
+    def __init__(self, n, identity, product):
+        self.elements, self.identity = list(range(n)), identity
+        self.mul, self.inv = product, lambda a: a
+
+
+def _extended_z15(y_squared):
+    """Z/15 and a sixteenth element y that acts as the identity on Z/15
+    from both sides, with y*y given."""
+    y = 15
+
+    def product(a, b):
+        if a == b == y:
+            return y_squared
+        if a == y or b == y:
+            return a + b - y
+        return (a + b) % 15
+
+    return y, product
+
+
+def _bad_middles(product, n):
+    return {m for x, m, z in itertools.product(range(n), repeat=3)
+            if product(product(x, m), z) != product(x, product(m, z))}
+
+
+def test_light_test_falls_back_when_the_closure_falls_short():
+    # y*y = 0 is associative, but no right product from 0 reaches y
+    y, product = _extended_z15(0)
+    table = _Enumeration(_Magma(16, 0, product)).tabulate()
+    reached, gens = table.closure(table.elements)
+    assert y not in reached and len(reached) == 15 and gens == [1, y]
+    assert _associates(table.table, 16) and not table.associative()
+    # y*y = 1: the only bad middle is y, which nothing reaches
+    y, product = _extended_z15(1)
+    table = _Enumeration(_Magma(16, 0, product)).tabulate()
+    assert _bad_middles(product, 16) == {y} and not table.associative()
+
+
+def test_light_test_checks_the_identity_as_a_middle():
+    # the same table with y as the handle's identity: the closure reaches
+    # every element with kept generators 0 and 1, and the only bad middle is
+    # y, outside them; the identity's own checks must find it
+    y, product = _extended_z15(1)
+    table = _Enumeration(_Magma(16, y, product)).tabulate()
+    reached, gens = table.closure(table.elements)
+    assert len(reached) == 16 and gens == [0, 1]
+    assert _bad_middles(product, 16) == {y} and not table.associative()
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    method = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return method(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_exhaustive_validation_route(monkeypatch):
+    # criterion 07's extension: the n^2 table is every product made, and the
+    # n^3 scan never runs; on skew the checks fail and the scan names triples
+    data = inversion_extension(additive_group())
+    products = _counting(monkeypatch, HQuotient, "mul")
+    calls = _counting(monkeypatch, atlas, "_pointwise_failures")
+    # the scan of the indexed table, not the coset table's own check
+    scans = lambda: [args for args in calls if isinstance(args[3], int)]
+    report = validate_transversal(data, level=4)
+    assert report.ok and report.checked == 16**3
+    assert len(products) == 16**2 and scans() == []
+    products.clear()
+    report = validate_transversal(_skew(), level=4)
+    assert not report.ok and len(products) == 16**2 and len(scans()) == 1
 
 
 def test_quotient_bound():

@@ -111,6 +111,23 @@ def test_one_enumeration():
         (owner, _callee(node)) for owner, node in _calls(atlas)}
 
 
+def test_one_closure():
+    # the doubling closure is one method: verbal_subgroup closes a word image
+    # with it and Light's test finds its generators with it, which atlas
+    # validation calls; a second "while frontier" loop is a second copy
+    sources = dict(_sources())
+    callers = {(name, owner) for name, tree in sources.items()
+               for owner, node in _calls(tree) if _callee(node) == "closure"}
+    assert callers == {("words.py", "verbal_subgroup"),
+                       ("words.py", "_Enumeration.associative")}, sorted(callers)
+    assert ("validate_transversal", "associative") in {
+        (owner, _callee(node)) for owner, node in _calls(sources["atlas.py"])}
+    loops = [(name, owner) for name, tree in sources.items()
+             for owner, node in _calls(tree, ast.While)
+             if isinstance(node.test, ast.Name) and node.test.id == "frontier"]
+    assert loops == [("words.py", "_Enumeration.closure")], loops
+
+
 def test_one_specialisation_path():
     # t-variables are evaluated by Specialisation alone (rings.specialise is
     # its one-shot form), and polynomial evaluation is shared only with series
