@@ -43,8 +43,8 @@ class LawReport:
 
 def _first_nonzero(T: SeriesTuple) -> str | None:
     for j, s in enumerate(T.components):
-        if s.terms:
-            alpha, _ = s.terms[0]
+        if s._pairs:
+            alpha, _ = s._pairs[0]
             return f"component {j + 1}: {monomial_name(alpha)}"
     return None
 
@@ -157,10 +157,10 @@ def _exact_polynomials(law: FormalGroupLaw) -> bool:
     the truncation: checked again at a degree D' above every term of F(F, F)
     and F(X, I(X)), D' = max(deg F^2, deg F * deg I) + 1."""
     def degree(T):
-        return max(sum(alpha) for s in T for alpha, _ in s.terms)
+        return max(sum(alpha) for s in T for alpha, _ in s._pairs)
 
     D = max(degree(law.F) ** 2, degree(law.F) * degree(law.I)) + 1
-    F, I = (SeriesTuple(tuple(Series(s.spec, s.nvars, D, s.terms) for s in T))
+    F, I = (SeriesTuple(tuple(Series(s.spec, s.nvars, D, s._pairs) for s in T))
             for T in (law.F, law.I))
     try:
         _require_cancels(F, I, "inverse")

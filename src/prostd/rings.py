@@ -73,6 +73,18 @@ def monomial_name(alpha: tuple[int, ...], stem: str = "X") -> str:
     return "*".join(factors) if factors else "1"
 
 
+class _GrlexKeys(dict):
+    """``grlex_key`` of each exponent vector, computed on its first lookup, so
+    sorting by ``__getitem__`` runs no Python code per known vector."""
+
+    def __missing__(self, alpha):
+        key = self[alpha] = grlex_key(alpha)
+        return key
+
+
+_GRLEX_KEYS = _GrlexKeys()
+
+
 def collect(pairs, add, is_zero, bound: int) -> tuple:
     """The canonical polynomial of (exponent, coefficient) pairs: equal
     exponents summed with ``add``, exponents of total degree >= ``bound`` and
@@ -82,18 +94,20 @@ def collect(pairs, add, is_zero, bound: int) -> tuple:
         if sum(alpha) < bound:
             prev = acc.get(alpha)
             acc[alpha] = c if prev is None else add(prev, c)
-    return tuple(sorted(((alpha, c) for alpha, c in acc.items() if not is_zero(c)),
-                        key=lambda it: grlex_key(it[0])))
+    alphas = sorted((alpha for alpha, c in acc.items() if not is_zero(c)),
+                    key=_GRLEX_KEYS.__getitem__)
+    return tuple((alpha, acc[alpha]) for alpha in alphas)
 
 
 def poly_mul(a, b, mul, add, is_zero, bound: int) -> tuple:
     """The canonical product of two canonical polynomials, truncated at
     ``bound``; no product of degree >= ``bound`` is formed."""
     pairs = []
+    b = [(beta, e, sum(beta)) for beta, e in b]
     for alpha, c in a:
         room = bound - sum(alpha)
-        for beta, e in b:
-            if sum(beta) >= room:
+        for beta, e, degree in b:
+            if degree >= room:
                 break  # b is graded, so every later beta is too big as well
             pairs.append((tuple(map(operator.add, alpha, beta)), mul(c, e)))
     return collect(pairs, add, is_zero, bound)
@@ -200,6 +214,7 @@ class RingOps:
     ``reduce(a, M)`` is the canonical representative of ``a`` modulo m^M."""
 
     zero: object
+    one: object
     is_zero: Callable
     add: Callable
     neg: Callable
@@ -213,6 +228,7 @@ def _ring_ops(spec: RingSpec) -> RingOps:
         q = spec.modulus
         return RingOps(
             zero=0,
+            one=1,
             is_zero=operator.not_,
             add=lambda a, b: (a + b) % q,
             neg=lambda a: -a % q,
@@ -235,6 +251,7 @@ def _ring_ops(spec: RingSpec) -> RingOps:
 
         return RingOps(
             zero=zero,
+            one=(1,) + zero[1:],
             is_zero=lambda a: not any(a),
             add=lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
             neg=lambda a: tuple(-x % p for x in a),
@@ -247,6 +264,7 @@ def _ring_ops(spec: RingSpec) -> RingOps:
 
     return RingOps(
         zero=(),
+        one=(((0,) * spec.m, base.one),),
         is_zero=operator.not_,
         add=lambda a, b: canonical(a + b),
         neg=lambda a: tuple((alpha, base.neg(c)) for alpha, c in a),
@@ -307,7 +325,7 @@ class Coefficient:
 
     @staticmethod
     def one(spec: RingSpec) -> Coefficient:
-        return Coefficient(spec, _pl_from_int(spec, 1))
+        return Coefficient(spec, spec.ops.one)
 
     @staticmethod
     def from_int(spec: RingSpec, n: int) -> Coefficient:
@@ -330,6 +348,8 @@ class Coefficient:
                 raise ValueError("eq-char payload longer than precision K")
             digits += [0] * (spec.K - len(digits))
             return Coefficient(spec, tuple(digits))
+        if isinstance(raw, int):
+            return Coefficient.from_int(spec, raw)
         pairs = []
         for alpha, c in raw.items() if isinstance(raw, dict) else raw:
             alpha = tuple(int(e) for e in alpha)
@@ -425,7 +445,8 @@ class Coefficient:
 
 
 def evaluate_terms(spec: RingSpec, terms, args, powers: dict) -> Coefficient:
-    """Payload-level sum of c * prod(args[i]^alpha_i) over (alpha, c) terms.
+    """Payload-level sum of c * prod(args[i]^alpha_i) over (alpha, c) terms,
+    where each c and each args[i] is a payload of ``spec``.
 
     The polynomial-evaluation hot path: one Coefficient is built at the end,
     everything in between stays on raw payloads.  `powers` caches payloads
@@ -434,16 +455,16 @@ def evaluate_terms(spec: RingSpec, terms, args, powers: dict) -> Coefficient:
     add, mul = spec.ops.add, spec.ops.mul
     acc = spec.ops.zero
     for alpha, c in terms:
-        term = c.payload
+        term = c
         for i, e in enumerate(alpha):
             if e == 1:
-                term = mul(term, args[i].payload)
+                term = mul(term, args[i])
             elif e:
                 got = powers.get((i, e))
                 if got is None:
-                    got = args[i].payload
+                    got = args[i]
                     for _ in range(e - 1):
-                        got = mul(got, args[i].payload)
+                        got = mul(got, args[i])
                     powers[(i, e)] = got
                 term = mul(term, got)
         acc = add(acc, term)
@@ -530,6 +551,7 @@ class Specialisation(CoefficientMap):
         self.source = spec
         self.target = spec.base
         self.point = tuple(pt)
+        self._payloads = tuple(q.payload for q in pt)
 
     @property
     def m(self) -> int:
@@ -538,7 +560,7 @@ class Specialisation(CoefficientMap):
     def __call__(self, c: Coefficient) -> Coefficient:
         if c.spec != self.source:
             raise RingMismatchError("coefficient outside this map's source ring")
-        return evaluate_terms(self.target, c.nested_terms(), self.point, {})
+        return evaluate_terms(self.target, c.payload, self._payloads, {})
 
     def __str__(self) -> str:
         return "t -> (" + ", ".join(str(q) for q in self.point) + ")"

@@ -5,16 +5,18 @@ A ``Series`` is a sparse polynomial representative of R[[X1..Xn]] / (degree
 the bound: distinct exponent vectors of total degree < D, nonzero
 coefficients, graded-lex order; every constructor and operation here builds
 them through ``collect`` or ``poly_mul``, so arithmetic silently drops
-everything of degree >= D.  ``compose`` requires the inner series to have
-zero constant term; at a finite degree truncation a constant term would make
-every output coefficient an infinite sum, so that case is rejected rather
-than approximated.  ``substitute`` is the finite partial-evaluation
+everything of degree >= D.  Internally the coefficients are ring payloads,
+combined with the ring's ``RingOps``; ``Coefficient`` objects are built only
+where a caller reads them (``Series.terms``, constant terms, evaluation,
+constancy verdicts, strings and JSON).  ``compose`` requires the inner series
+to have zero constant term; at a finite degree truncation a constant term
+would make every output coefficient an infinite sum, so that case is
+rejected rather than approximated.  ``substitute`` is the finite partial-evaluation
 primitive (ring constants are allowed); callers own its precision analysis.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,13 +33,13 @@ from .rings import (
     poly_mul,
 )
 
-_is_zero = operator.attrgetter("is_zero")
-
 
 def _check_point(spec: RingSpec, nvars: int, args) -> None:
     if len(args) != nvars:
         raise ShapeError(f"expected {nvars} arguments, got {len(args)}")
     for a in args:
+        if not isinstance(a, Coefficient):
+            raise ShapeError(f"cannot evaluate at object of type {type(a).__name__}")
         if a.spec != spec:
             raise RingMismatchError("evaluation point in a different ring")
         if a.valuation() < 1:
@@ -46,10 +48,18 @@ def _check_point(spec: RingSpec, nvars: int, args) -> None:
 
 @dataclass(frozen=True)
 class Series:
+    """A truncated series; ``_pairs`` holds its canonical (exponent vector,
+    payload) terms, so equality and hashing compare payloads."""
+
     spec: RingSpec
     nvars: int
     D: int
-    terms: tuple[tuple[tuple[int, ...], Coefficient], ...]
+    _pairs: tuple[tuple[tuple[int, ...], object], ...]
+
+    @cached_property
+    def terms(self) -> tuple[tuple[tuple[int, ...], Coefficient], ...]:
+        """The canonical terms as (exponent vector, Coefficient) pairs."""
+        return tuple((alpha, Coefficient(self.spec, c)) for alpha, c in self._pairs)
 
     @staticmethod
     def make(spec: RingSpec, nvars: int, D: int, items) -> Series:
@@ -65,8 +75,8 @@ class Series:
                 raise ShapeError(f"bad exponent vector {alpha} for {nvars} variables")
             if sum(alpha) >= D:
                 raise ShapeError(f"monomial degree {sum(alpha)} outside truncation D={D}")
-            pairs.append((alpha, Coefficient.make(spec, c)))
-        return Series(spec, nvars, D, collect(pairs, operator.add, _is_zero, D))
+            pairs.append((alpha, Coefficient.make(spec, c).payload))
+        return Series(spec, nvars, D, collect(pairs, spec.ops.add, spec.ops.is_zero, D))
 
     @staticmethod
     def zero(spec: RingSpec, nvars: int, D: int) -> Series:
@@ -74,14 +84,14 @@ class Series:
 
     @staticmethod
     def constant(spec: RingSpec, nvars: int, D: int, c) -> Series:
-        return Series.make(spec, nvars, D, {(0,) * nvars: Coefficient.make(spec, c)})
+        return Series.make(spec, nvars, D, {(0,) * nvars: c})
 
     @staticmethod
     def variable(spec: RingSpec, nvars: int, D: int, i: int) -> Series:
         if not 0 <= i < nvars:
             raise ShapeError(f"variable index {i} outside 0..{nvars - 1}")
         alpha = tuple(1 if j == i else 0 for j in range(nvars))
-        return Series.make(spec, nvars, D, {alpha: Coefficient.one(spec)})
+        return Series.make(spec, nvars, D, {alpha: 1})
 
     # -- basic structure ----------------------------------------------------
 
@@ -90,23 +100,23 @@ class Series:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._pairs
 
     def constant_term(self) -> Coefficient:
-        for alpha, c in self.terms:
-            if sum(alpha) == 0:
-                return c
+        # graded-lex order puts the constant term, if any, first
+        if self._pairs and not any(self._pairs[0][0]):
+            return Coefficient(self.spec, self._pairs[0][1])
         return Coefficient.zero(self.spec)
 
     def coefficient(self, alpha: tuple[int, ...]) -> Coefficient:
-        for beta, c in self.terms:
+        for beta, c in self._pairs:
             if beta == tuple(alpha):
-                return c
+                return Coefficient(self.spec, c)
         return Coefficient.zero(self.spec)
 
     def graded_slice(self, k: int) -> Series:
         return Series(self.spec, self.nvars, self.D,
-                      tuple((a, c) for a, c in self.terms if sum(a) == k))
+                      tuple((a, c) for a, c in self._pairs if sum(a) == k))
 
     def _check_mate(self, other: Series):
         if self.spec != other.spec:
@@ -118,27 +128,30 @@ class Series:
 
     def __add__(self, other: Series) -> Series:
         self._check_mate(other)
+        ops = self.spec.ops
         return Series(self.spec, self.nvars, self.D,
-                      collect(self.terms + other.terms, operator.add, _is_zero, self.D))
+                      collect(self._pairs + other._pairs, ops.add, ops.is_zero, self.D))
 
     def __neg__(self) -> Series:
+        neg = self.spec.ops.neg
         return Series(self.spec, self.nvars, self.D,
-                      tuple((a, -c) for a, c in self.terms))
+                      tuple((a, neg(c)) for a, c in self._pairs))
 
     def __sub__(self, other: Series) -> Series:
         return self + (-other)
 
     def __mul__(self, other: Series) -> Series:
         self._check_mate(other)
+        ops = self.spec.ops
         return Series(self.spec, self.nvars, self.D,
-                      poly_mul(self.terms, other.terms, operator.mul, operator.add, _is_zero,
-                               self.D))
+                      poly_mul(self._pairs, other._pairs, ops.mul, ops.add, ops.is_zero, self.D))
 
     def scale(self, c) -> Series:
-        c = Coefficient.make(self.spec, c)
+        c = Coefficient.make(self.spec, c).payload
+        ops = self.spec.ops
         return Series(self.spec, self.nvars, self.D,
-                      collect(((alpha, x * c) for alpha, x in self.terms),
-                              operator.add, _is_zero, self.D))
+                      collect(((alpha, ops.mul(x, c)) for alpha, x in self._pairs),
+                              ops.add, ops.is_zero, self.D))
 
     def __pow__(self, e: int) -> Series:
         if e < 0:
@@ -155,11 +168,11 @@ class Series:
         whenever truncation is invisible (the tests fix D >= the zero
         threshold of the ring)."""
         _check_point(self.spec, self.nvars, args)
-        return self._evaluate_unchecked(args, {})
+        return self._evaluate_unchecked(tuple(a.payload for a in args), {})
 
     def _evaluate_unchecked(self, args, powers: dict) -> Coefficient:
-        # hot path: args pre-validated, powers shared across a tuple
-        return evaluate_terms(self.spec, self.terms, args, powers)
+        # hot path: argument payloads pre-validated, powers shared across a tuple
+        return evaluate_terms(self.spec, self._pairs, args, powers)
 
     def map_coefficients(self, phi) -> Series:
         """Transport along a coefficient map: apply phi termwise."""
@@ -255,6 +268,7 @@ class SeriesTuple:
 
     def evaluate(self, args: tuple[Coefficient, ...]) -> tuple[Coefficient, ...]:
         _check_point(self.spec, self.nvars, args)
+        args = tuple(a.payload for a in args)
         powers: dict = {}
         return tuple(s._evaluate_unchecked(args, powers) for s in self.components)
 
@@ -285,7 +299,8 @@ class SeriesTuple:
         return tuple(s.constant_term() for s in self.components)
 
     def has_zero_constant_terms(self) -> bool:
-        return all(s.constant_term().is_zero for s in self.components)
+        # graded-lex order puts a constant term first
+        return all(not s._pairs or any(s._pairs[0][0]) for s in self.components)
 
     def to_json(self) -> list:
         return [s.to_json() for s in self.components]
@@ -348,14 +363,14 @@ def _kernel_source(T: SeriesTuple, M: int) -> tuple[str, dict]:
             reduced = "red({})"
         product = lambda factors: _tree(factors, "mul({}, {})".format)
         total = lambda terms: reduced.format(_tree(terms, "add({}, {})".format))
-    one = Coefficient.one(spec).payload
+    one = ops.one
     comps = []
     for s in T.components:
         terms = []
-        for alpha, c in s.terms:
+        for alpha, c in s._pairs:
             factors = [args[i] for i, e in enumerate(alpha) for _ in range(e)]
-            if c.payload != one or not factors:
-                factors.insert(0, _payload_literal(c.payload))
+            if c != one or not factors:
+                factors.insert(0, _payload_literal(c))
             terms.append(product(factors))
         comps.append(total(terms) if terms else _payload_literal(ops.zero))
     return f"lambda {', '.join(args)}: ({''.join(c + ', ' for c in comps)})", names
@@ -365,45 +380,38 @@ def _kernel_source(T: SeriesTuple, M: int) -> tuple[str, dict]:
 # substitution
 
 
-def _substitute_series(series: Series, subs, out_nvars: int, out_D: int,
-                       powers: dict) -> Series:
-    spec = series.spec
+def _substitute_pairs(pairs, values, ops, out_nvars: int, out_D: int, powers: dict) -> tuple:
+    """The canonical terms of one series with the canonical terms values[i]
+    put for X_{i+1}.  ``powers`` caches values[i]^e across the components of
+    one substitution."""
+    mul, add, is_zero, one = ops.mul, ops.add, ops.is_zero, ops.one
     zero_vec = (0,) * out_nvars
-    pairs = []
+    out = []
 
-    def power(i: int, e: int) -> Series:
+    def power(i: int, e: int):
         got = powers.get((i, e))
         if got is None:
-            got = subs[i] if e == 1 else power(i, e - 1) * subs[i]
+            got = values[i] if e == 1 else poly_mul(power(i, e - 1), values[i],
+                                                    mul, add, is_zero, out_D)
             powers[(i, e)] = got
         return got
 
-    for alpha, c in series.terms:
-        scalar = c
-        factor: Series | None = None
-        dead = False
+    for alpha, c in pairs:
+        factor = None
         for i, e in enumerate(alpha):
-            if not e:
-                continue
-            s = subs[i]
-            if isinstance(s, Coefficient):
-                scalar = scalar * s**e
-                if scalar.is_zero:
-                    dead = True
-                    break
-            else:
+            if e:
                 pw = power(i, e)
-                factor = pw if factor is None else factor * pw
-                if factor.is_zero:
-                    dead = True
+                factor = pw if factor is None else poly_mul(factor, pw, mul, add, is_zero, out_D)
+                if not factor:
                     break
-        if dead:
-            continue
-        if factor is None:
-            pairs.append((zero_vec, scalar))
         else:
-            pairs.extend((beta, e * scalar) for beta, e in factor.terms)
-    return Series(spec, out_nvars, out_D, collect(pairs, operator.add, _is_zero, out_D))
+            if factor is None:
+                out.append((zero_vec, c))
+            elif c == one:
+                out.extend(factor)
+            else:
+                out.extend((beta, mul(x, c)) for beta, x in factor)
+    return collect(out, add, is_zero, out_D)
 
 
 def substitute(outer: SeriesTuple | Series, subs) -> SeriesTuple | Series:
@@ -438,8 +446,14 @@ def substitute(outer: SeriesTuple | Series, subs) -> SeriesTuple | Series:
             raise ShapeError(f"cannot substitute object of type {type(s).__name__}")
     if proto is None:
         raise ShapeError("substitution needs at least one series entry; use evaluate")
+    # each entry becomes canonical payload terms once: a constant, those of a
+    # constant series in the output variables
+    values = [Series.constant(spec, proto.nvars, proto.D, s)._pairs
+              if isinstance(s, Coefficient) else s._pairs for s in subs]
     powers: dict = {}
-    out = tuple(_substitute_series(s, list(subs), proto.nvars, proto.D, powers)
+    out = tuple(Series(spec, proto.nvars, proto.D,
+                       _substitute_pairs(s._pairs, values, spec.ops, proto.nvars, proto.D,
+                                         powers))
                 for s in comps)
     return out[0] if single else SeriesTuple(out)
 
@@ -480,8 +494,8 @@ def constancy(T: SeriesTuple) -> Constancy:
     positive-degree monomial (graded-lex, then component order) otherwise."""
     best: tuple | None = None
     for j, s in enumerate(T.components):
-        for alpha, _ in s.terms:
-            if sum(alpha) == 0:
+        for alpha, _ in s._pairs:
+            if not any(alpha):
                 continue
             key = (grlex_key(alpha), j)
             if best is None or key < best[0]:

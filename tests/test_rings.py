@@ -302,8 +302,7 @@ def test_evaluate_terms_matches_dunders():
     spec = padic(3, 4)
     rng = random.Random(9)
     args = tuple(random_ideal_element(spec, 1, rng) for _ in range(2))
-    terms = (((1, 0), Coefficient.from_int(spec, 2)),
-             ((1, 2), Coefficient.from_int(spec, 5)))
+    terms = (((1, 0), 2), ((1, 2), 5))  # payload terms at payload arguments
     naive = (Coefficient.from_int(spec, 2) * args[0]
              + Coefficient.from_int(spec, 5) * args[0] * args[1] * args[1])
-    assert evaluate_terms(spec, terms, args, {}) == naive
+    assert evaluate_terms(spec, terms, tuple(a.payload for a in args), {}) == naive

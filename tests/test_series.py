@@ -122,6 +122,27 @@ def test_evaluate_validation():
         s.evaluate(())
 
 
+@pytest.mark.parametrize("bad", [1, "2", None])
+def test_evaluation_points_must_be_coefficients(bad):
+    # the same error type as substitute gives for a foreign entry
+    from prostd.atlas import HElement, inversion_extension
+    from prostd.fgl import builtin
+    from prostd.stdgrp import StandardGroup
+
+    spec = padic(3, 4)
+    name = type(bad).__name__
+    with pytest.raises(ShapeError, match=f"object of type {name}"):
+        Series.variable(spec, 1, 3, 0).evaluate((bad,))
+    with pytest.raises(ShapeError, match=f"object of type {name}"):
+        SeriesTuple.block(spec, 2, 3, 0, 2).evaluate((Coefficient.from_int(spec, 3), bad))
+    data = inversion_extension(StandardGroup(builtin("additive", spec, 4), 1))
+    good = data.element("s", ["3"])
+    with pytest.raises(ShapeError, match=f"object of type {name}"):
+        data.mul(good, HElement("s", (bad,)))
+    with pytest.raises(ShapeError, match=f"object of type {name}"):
+        data.inv(HElement("1", (bad,)))
+
+
 # -- substitution and composition ---------------------------------------------------
 
 

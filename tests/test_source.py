@@ -45,16 +45,19 @@ def _callee(call) -> str | None:
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+_GRLEX_NAMES = {"grlex_key", "_GRLEX_KEYS", "_GrlexKeys"}
+
+
 def _grlex_sorts(tree):
     """(enclosing function, line) of every sorted(...)/.sort(...) whose key
-    mentions grlex_key."""
+    mentions grlex_key or its memo."""
     found = []
     for owner, node in _calls(tree):
         if _callee(node) in ("sorted", "sort"):
             names = {n.id if isinstance(n, ast.Name) else n.attr
                      for kw in node.keywords if kw.arg == "key"
                      for n in ast.walk(kw.value) if isinstance(n, (ast.Name, ast.Attribute))}
-            if "grlex_key" in names:
+            if names & _GRLEX_NAMES:
                 found.append((owner, node.lineno))
     return found
 
@@ -66,6 +69,28 @@ def test_grlex_sorts_only_in_the_polynomial_kernel():
     found = [f"{name}:{line} ({owner})" for name, tree in _sources()
              for owner, line in _grlex_sorts(tree) if (name, owner) not in allowed]
     assert not found, f"graded-lex sorts outside rings.collect: {found}"
+
+
+def test_grlex_pin_sees_the_memo():
+    copied = ast.parse("def f(acc):\n    return sorted(acc, key=_GRLEX_KEYS.__getitem__)\n")
+    assert _grlex_sorts(copied) == [("f", 2)]
+
+
+def test_series_builds_coefficients_only_at_the_boundary():
+    # series terms are payloads; a Coefficient is built only where a caller
+    # reads one (Coefficient.make canonicalises caller input and stays free)
+    readers = {"Series.terms", "Series.constant_term", "Series.coefficient",
+               "Series.evaluate", "SeriesTuple.evaluate", "constancy"}
+    tree = dict(_sources())["series.py"]
+    found = []
+    for owner, node in _calls(tree):
+        func = node.func
+        direct = isinstance(func, ast.Name) and func.id == "Coefficient"
+        factory = (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                   and func.value.id == "Coefficient" and func.attr != "make")
+        if (direct or factory) and owner not in readers:
+            found.append(f"series.py:{node.lineno} ({owner})")
+    assert not found, f"Coefficients built inside series arithmetic: {found}"
 
 
 def test_enumeration_bound_raised_only_by_the_shared_guard():
