@@ -417,6 +417,10 @@ class MarginalityRow:
     target: str
     constants: tuple[Coefficient, ...]
 
+    def to_json(self) -> dict:
+        return {"cosets": list(self.cosets), "target": self.target,
+                "constants": [str(c) for c in self.constants]}
+
 
 @dataclass(frozen=True)
 class MarginalityReport:
@@ -433,9 +437,7 @@ class MarginalityReport:
                     "witness": self.witness}
         return {"all_constant": True,
                 "image_bound": self.image_bound,
-                "rows": [{"cosets": list(r.cosets), "target": r.target,
-                          "constants": [str(c) for c in r.constants]}
-                         for r in self.rows]}
+                "rows": [r.to_json() for r in self.rows]}
 
 
 def check_marginality(w: WordExpr, data: TransversalData,

@@ -4,6 +4,12 @@ Verbs mirror the library: ``fgl`` (check, inverse, transport), ``group``
 (mul, inv, pow, conj, quotient), ``word`` (eval, series, image), ``atlas``
 (validate, wordmap, marginal), ``probe`` and ``sample-data``.
 
+Each command is declared once, in ``build_parser``: its name, handler, help
+and arguments.  The argument groups several commands share (law flags,
+group flags, ``--bound``, ``--format``) are declared once as ordered tuples
+of ``(flag, add_argument kwargs)`` specs, and each output shape (one group
+element, a list of elements) has one renderer.
+
 Laws are referenced either by a JSON file path or by a catalogue name
 (additive, multiplicative, heisenberg) together with ring flags.  JSON
 output is canonical: sorted keys, two-space indent, graded-lex term order,
@@ -56,11 +62,24 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, payload: dict, text_lines) -> None:
+def _emit(args, payload: dict, text_lines) -> int:
     if args.format == "json":
         sys.stdout.write(canonical_json(payload))
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
+    return 0
+
+
+def _emit_element(args, el) -> int:
+    return _emit(args, {"coords": [str(c) for c in el.coords]}, [str(el)])
+
+
+def _emit_elements(args, elements, **fields) -> int:
+    """A list of coordinate tuples: a ``size:`` line and one tuple a line, or
+    the JSON ``size`` and ``elements`` beside ``fields``."""
+    rows = [[str(c) for c in el] for el in elements]
+    lines = [f"size: {len(rows)}"] + ["(" + ", ".join(row) + ")" for row in rows]
+    return _emit(args, {**fields, "size": len(rows), "elements": rows}, lines)
 
 
 def _series_lines(prefix: str, T: SeriesTuple) -> list[str]:
@@ -73,11 +92,9 @@ def _series_lines(prefix: str, T: SeriesTuple) -> list[str]:
 
 def _spec_from_args(args) -> RingSpec:
     base = padic(args.p, args.K) if args.ring == "p-adic" else eqchar(args.p, args.K)
-    if args.m is None:
-        return base
-    if args.Dt is None:
-        raise _Usage("--m needs --Dt")
-    return nested(base, args.m, args.Dt)
+    if (args.m is None) != (args.Dt is None):
+        raise _Usage("--m needs --Dt" if args.Dt is None else "--Dt needs --m")
+    return base if args.m is None else nested(base, args.m, args.Dt)
 
 
 def _read_json(path: str) -> dict:
@@ -95,14 +112,16 @@ def _load_law(args, ref: str):
 
 
 def _load_group(args) -> StandardGroup:
-    if getattr(args, "group", None):
+    if args.group and args.law:
+        raise _Usage("give one of --group or --law, not both")
+    if args.group:
         obj = _read_json(args.group)
         with _json_shape("group"):
             law_obj = obj["law"]
         law = law_from_json(law_obj)
         with _json_shape("group"):
             return StandardGroup(law, obj["N"])
-    if getattr(args, "law", None):
+    if args.law:
         return StandardGroup(_load_law(args, args.law), args.N)
     raise _Usage("one of --group or --law is required")
 
@@ -121,7 +140,7 @@ def _load_extension(args):
 
 def _law_series_from_ref(args, ref: str) -> SeriesTuple:
     if ref in BUILTIN_LAWS:
-        return builtin(ref, _spec_from_args(args), args.D, dim=args.dim).F
+        return _load_law(args, ref).F
     return law_series_from_json(_read_json(ref))
 
 
@@ -136,8 +155,7 @@ def cmd_fgl_check(args) -> int:
 
 def cmd_fgl_inverse(args) -> int:
     law = make_law(_law_series_from_ref(args, args.law_ref))
-    _emit(args, law.to_json(), _series_lines("I", law.I))
-    return 0
+    return _emit(args, law.to_json(), _series_lines("I", law.I))
 
 
 def _transport_map(args, spec: RingSpec):
@@ -149,11 +167,9 @@ def _transport_map(args, spec: RingSpec):
     if args.residue:
         return residue_map(spec)
     parts = [int(x) for x in args.precision.split(",")]
-    if len(parts) == 1:
-        return PrecisionReduction(spec, parts[0])
-    if len(parts) == 2:
-        return PrecisionReduction(spec, parts[0], parts[1])
-    raise _Usage("--precision takes K or K,Dt")
+    if len(parts) > 2:
+        raise _Usage("--precision takes K or K,Dt")
+    return PrecisionReduction(spec, *parts)
 
 
 def cmd_fgl_transport(args) -> int:
@@ -161,59 +177,34 @@ def cmd_fgl_transport(args) -> int:
     out = law.map_coefficients(_transport_map(args, law.spec))
     lines = [f"spec: {out.spec.to_json()}"]
     lines += _series_lines("F", out.F) + _series_lines("I", out.I)
-    _emit(args, out.to_json(), lines)
-    return 0
+    return _emit(args, out.to_json(), lines)
 
 
 # --------------------------------------------------------------------------
 # group
 
 
-def _element_payload(el) -> dict:
-    return {"coords": [str(c) for c in el.coords]}
-
-
-def cmd_group_mul(args) -> int:
+def _cmd_group_op(args) -> int:
+    """``group mul``, ``inv`` and ``pow``."""
     g = _load_group(args)
-    out = g.mul(_parse_element(g, args.x), _parse_element(g, args.y))
-    _emit(args, _element_payload(out), [str(out)])
-    return 0
-
-
-def cmd_group_inv(args) -> int:
-    g = _load_group(args)
-    out = g.inv(_parse_element(g, args.x))
-    _emit(args, _element_payload(out), [str(out)])
-    return 0
-
-
-def cmd_group_pow(args) -> int:
-    g = _load_group(args)
-    out = g.power(_parse_element(g, args.x), args.n)
-    _emit(args, _element_payload(out), [str(out)])
-    return 0
+    x = _parse_element(g, args.x)
+    if args.sub == "mul":
+        return _emit_element(args, g.mul(x, _parse_element(g, args.y)))
+    if args.sub == "inv":
+        return _emit_element(args, g.inv(x))
+    return _emit_element(args, g.power(x, args.n))
 
 
 def cmd_group_conj(args) -> int:
     g = _load_group(args)
     C = g.conj_series(_parse_element(g, args.g))
     payload = {"spec": g.law.spec.to_json(), "d": g.d, "D": g.law.D, "C": C.to_json()}
-    _emit(args, payload, _series_lines("C", C))
-    return 0
+    return _emit(args, payload, _series_lines("C", C))
 
 
 def cmd_group_quotient(args) -> int:
-    g = _load_group(args)
-    q = g.quotient(args.M, args.bound)
-    payload = {
-        "M": args.M,
-        "size": len(q),
-        "elements": [[str(c) for c in el] for el in q.elements],
-    }
-    lines = [f"size: {len(q)}"]
-    lines += ["(" + ", ".join(str(c) for c in el) + ")" for el in q.elements]
-    _emit(args, payload, lines)
-    return 0
+    q = _load_group(args).quotient(args.M, args.bound)
+    return _emit_elements(args, q.elements, M=args.M)
 
 
 # --------------------------------------------------------------------------
@@ -224,25 +215,16 @@ def cmd_word_eval(args) -> int:
     g = _load_group(args)
     w = parse_word(args.word)
     points = [_parse_element(g, part) for part in args.args.split(";")]
-    out = w.evaluate(g, points)
-    _emit(args, _element_payload(out), [str(out)])
-    return 0
+    return _emit_element(args, w.evaluate(g, points))
 
 
 def cmd_word_series(args) -> int:
     law = _load_law(args, args.law)
     w = parse_word(args.word)
     ws = word_series(w, law)
-    payload = {
-        "word": w.text(),
-        "k": w.k,
-        "d": law.d,
-        "D": law.D,
-        "spec": law.spec.to_json(),
-        "W": ws.W.to_json(),
-    }
-    _emit(args, payload, _series_lines("W", ws.W))
-    return 0
+    payload = {"word": w.text(), "k": w.k, "d": law.d, "D": law.D,
+               "spec": law.spec.to_json(), "W": ws.W.to_json()}
+    return _emit(args, payload, _series_lines("W", ws.W))
 
 
 def cmd_word_image(args) -> int:
@@ -252,17 +234,7 @@ def cmd_word_image(args) -> int:
     fn = {"none": word_image, "verbal": verbal_subgroup, "marginal": marginal_subgroup}
     out = fn[args.closure](w, q, args.bound)
     ordered = sorted(out, key=lambda el: tuple(c.sort_key() for c in el))
-    payload = {
-        "word": w.text(),
-        "M": args.M,
-        "closure": args.closure,
-        "size": len(ordered),
-        "elements": [[str(c) for c in el] for el in ordered],
-    }
-    lines = [f"size: {len(ordered)}"]
-    lines += ["(" + ", ".join(str(c) for c in el) + ")" for el in ordered]
-    _emit(args, payload, lines)
-    return 0
+    return _emit_elements(args, ordered, word=w.text(), M=args.M, closure=args.closure)
 
 
 # --------------------------------------------------------------------------
@@ -285,14 +257,9 @@ def cmd_atlas_wordmap(args) -> int:
     w = parse_word(args.word)
     cosets = tuple(t.strip() for t in args.cosets.split(","))
     cs = coset_word_series(w, data, cosets)
-    payload = {
-        "word": w.text(),
-        "cosets": list(cs.cosets),
-        "target": cs.target,
-        "W": cs.W.to_json(),
-    }
-    _emit(args, payload, [f"target: {cs.target}"] + _series_lines("W", cs.W))
-    return 0
+    payload = {"word": w.text(), "cosets": list(cs.cosets), "target": cs.target,
+               "W": cs.W.to_json()}
+    return _emit(args, payload, [f"target: {cs.target}"] + _series_lines("W", cs.W))
 
 
 def cmd_atlas_marginal(args) -> int:
@@ -309,8 +276,7 @@ def cmd_atlas_marginal(args) -> int:
         lines = ["all-constant: false",
                  "witness-cosets: (" + ", ".join(rep.witness_cosets) + ")",
                  f"witness: {rep.witness}"]
-    _emit(args, rep.to_json(), lines)
-    return 0
+    return _emit(args, rep.to_json(), lines)
 
 
 # --------------------------------------------------------------------------
@@ -334,8 +300,7 @@ def cmd_probe(args) -> int:
             flag = "trivial" if lv.trivial else "non-trivial"
             lines.append(f"l={lv.l}: constant, {flag}, vanishing grid indices [{van}]")
     lines.append(f"min_l: {report.min_l if report.min_l is not None else 'none'}")
-    _emit(args, report.to_json(), lines)
-    return 0
+    return _emit(args, report.to_json(), lines)
 
 
 # --------------------------------------------------------------------------
@@ -394,32 +359,54 @@ def cmd_sample_data(args) -> int:
 
 
 # --------------------------------------------------------------------------
-# parser
+# parser: argument groups as ordered (flag, add_argument kwargs) specs
 
 
-def _add_format(p) -> None:
-    p.add_argument("--format", choices=("text", "json"), default="text")
+_REQUIRED = {"required": True}
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+
+_FORMAT = (("--format", {"choices": ("text", "json"), "default": "text"}),)
+_BOUND = (("--bound", _INT),)
+_LAW_REF = (("law_ref", {"metavar": "LAW"}),)
+_LAW_OPTS = (
+    ("--p", {"type": int, "default": 2}),
+    ("--K", {"type": int, "default": 4}),
+    ("--ring", {"choices": ("p-adic", "eq-char"), "default": "p-adic"}),
+    ("--D", {"type": int, "default": 4}),
+    ("--dim", {"type": int, "default": 1}),
+    ("--m", _INT),
+    ("--Dt", _INT),
+)
+_LAW_HELP = "law JSON file or catalogue name"
+_GROUP_OPTS = (
+    ("--group", {"help": "group JSON file"}),
+    ("--law", {"help": _LAW_HELP}),
+    ("--N", {"type": int, "default": 1}),
+) + _LAW_OPTS
+_X = (("--x", _REQUIRED),)
+_WORD = (("--word", _REQUIRED),)
+_EXTENSION = (("--extension", _REQUIRED),)
 
 
-def _add_law_opts(p) -> None:
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--K", type=int, default=4)
-    p.add_argument("--ring", choices=("p-adic", "eq-char"), default="p-adic")
-    p.add_argument("--D", type=int, default=4)
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--Dt", type=int, default=None)
+def _command(parent, name: str, func, *arguments, **help) -> None:
+    """Add the leaf command ``name``.  Each argument is a ``(flag, kwargs)``
+    spec, or a tuple of specs that form one mutually exclusive group.
+    ``help`` is passed only when given: a command added with ``help=None``
+    would still be listed in its parent's help."""
+    p = parent.add_parser(name, **help)
+    for spec in arguments:
+        if isinstance(spec[0], str):
+            p.add_argument(spec[0], **spec[1])
+        else:
+            group = p.add_mutually_exclusive_group()
+            for flag, kwargs in spec:
+                group.add_argument(flag, **kwargs)
+    p.set_defaults(func=func)
 
 
-def _add_group_opts(p) -> None:
-    p.add_argument("--group", help="group JSON file")
-    p.add_argument("--law", help="law JSON file or catalogue name")
-    p.add_argument("--N", type=int, default=1)
-    _add_law_opts(p)
-
-
-def _add_bound(p) -> None:
-    p.add_argument("--bound", type=int, default=None)
+def _verb(top, name: str, help: str):
+    return top.add_parser(name, help=help).add_subparsers(dest="sub", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,118 +415,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="formal group laws and standard groups over truncated rings")
     top = parser.add_subparsers(dest="cmd", required=True)
 
-    fgl = top.add_parser("fgl", help="formal group laws").add_subparsers(
-        dest="sub", required=True)
-    p = fgl.add_parser("check", help="verify the law axioms symbolically")
-    p.add_argument("law_ref", metavar="LAW")
-    _add_law_opts(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_fgl_check)
-    p = fgl.add_parser("inverse", help="compute the formal inverse")
-    p.add_argument("law_ref", metavar="LAW")
-    _add_law_opts(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_fgl_inverse)
-    p = fgl.add_parser("transport", help="apply a coefficient map to a law")
-    p.add_argument("law_ref", metavar="LAW")
-    p.add_argument("--point", help="comma-separated base coefficients for t1..tm")
-    p.add_argument("--residue", action="store_true", help="reduce mod p")
-    p.add_argument("--precision", help="new K, or K,Dt for nested rings")
-    _add_law_opts(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_fgl_transport)
+    fgl = _verb(top, "fgl", "formal group laws")
+    _command(fgl, "check", cmd_fgl_check, *_LAW_REF, *_LAW_OPTS, *_FORMAT,
+             help="verify the law axioms symbolically")
+    _command(fgl, "inverse", cmd_fgl_inverse, *_LAW_REF, *_LAW_OPTS, *_FORMAT,
+             help="compute the formal inverse")
+    _command(fgl, "transport", cmd_fgl_transport, *_LAW_REF,
+             ("--point", {"help": "comma-separated base coefficients for t1..tm"}),
+             ("--residue", {"action": "store_true", "help": "reduce mod p"}),
+             ("--precision", {"help": "new K, or K,Dt for nested rings"}),
+             *_LAW_OPTS, *_FORMAT, help="apply a coefficient map to a law")
 
-    grp = top.add_parser("group", help="standard group arithmetic").add_subparsers(
-        dest="sub", required=True)
-    p = grp.add_parser("mul")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    _add_group_opts(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_group_mul)
-    p = grp.add_parser("inv")
-    p.add_argument("--x", required=True)
-    _add_group_opts(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_group_inv)
-    p = grp.add_parser("pow")
-    p.add_argument("--x", required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_group_opts(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_group_pow)
-    p = grp.add_parser("conj", help="conjugation series of a group element")
-    p.add_argument("--g", required=True)
-    _add_group_opts(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_group_conj)
-    p = grp.add_parser("quotient", help="enumerate the level-M quotient")
-    p.add_argument("--M", type=int, required=True)
-    _add_group_opts(p)
-    _add_bound(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_group_quotient)
+    grp = _verb(top, "group", "standard group arithmetic")
+    _command(grp, "mul", _cmd_group_op, *_X, ("--y", _REQUIRED), *_GROUP_OPTS, *_FORMAT)
+    _command(grp, "inv", _cmd_group_op, *_X, *_GROUP_OPTS, *_FORMAT)
+    _command(grp, "pow", _cmd_group_op, *_X, ("--n", _REQUIRED_INT), *_GROUP_OPTS, *_FORMAT)
+    _command(grp, "conj", cmd_group_conj, ("--g", _REQUIRED), *_GROUP_OPTS, *_FORMAT,
+             help="conjugation series of a group element")
+    _command(grp, "quotient", cmd_group_quotient, ("--M", _REQUIRED_INT), *_GROUP_OPTS,
+             *_BOUND, *_FORMAT, help="enumerate the level-M quotient")
 
-    wrd = top.add_parser("word", help="word maps").add_subparsers(dest="sub", required=True)
-    p = wrd.add_parser("eval", help="evaluate a word at group elements")
-    p.add_argument("--word", required=True)
-    p.add_argument("--args", required=True,
-                   help="semicolon-separated elements, comma-separated coordinates")
-    _add_group_opts(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_word_eval)
-    p = wrd.add_parser("series", help="symbolic word-map series")
-    p.add_argument("--word", required=True)
-    p.add_argument("--law", required=True, help="law JSON file or catalogue name")
-    _add_law_opts(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_word_series)
-    p = wrd.add_parser("image", help="word image in a finite quotient")
-    p.add_argument("--word", required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--closure", choices=("none", "verbal", "marginal"), default="none")
-    _add_group_opts(p)
-    _add_bound(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_word_image)
+    wrd = _verb(top, "word", "word maps")
+    _command(wrd, "eval", cmd_word_eval, *_WORD,
+             ("--args", {"required": True, "help": "semicolon-separated elements, "
+                                                   "comma-separated coordinates"}),
+             *_GROUP_OPTS, *_FORMAT, help="evaluate a word at group elements")
+    _command(wrd, "series", cmd_word_series, *_WORD,
+             ("--law", {"required": True, "help": _LAW_HELP}), *_LAW_OPTS, *_FORMAT,
+             help="symbolic word-map series")
+    _command(wrd, "image", cmd_word_image, *_WORD, ("--M", _REQUIRED_INT),
+             ("--closure", {"choices": ("none", "verbal", "marginal"), "default": "none"}),
+             *_GROUP_OPTS, *_BOUND, *_FORMAT, help="word image in a finite quotient")
 
-    atl = top.add_parser("atlas", help="transversal extensions").add_subparsers(
-        dest="sub", required=True)
-    p = atl.add_parser("validate", help="check the extension group axioms")
-    p.add_argument("--extension", required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--level", type=int, default=None)
-    mode.add_argument("--samples", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    _add_bound(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_atlas_validate)
-    p = atl.add_parser("wordmap", help="word-map series on fixed cosets")
-    p.add_argument("--word", required=True)
-    p.add_argument("--extension", required=True)
-    p.add_argument("--cosets", required=True, help="comma-separated coset labels")
-    _add_format(p)
-    p.set_defaults(func=cmd_atlas_wordmap)
-    p = atl.add_parser("marginal", help="constancy over all coset tuples")
-    p.add_argument("--word", required=True)
-    p.add_argument("--extension", required=True)
-    _add_bound(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_atlas_marginal)
+    atl = _verb(top, "atlas", "transversal extensions")
+    _command(atl, "validate", cmd_atlas_validate, *_EXTENSION,
+             (("--level", _INT), ("--samples", _INT)),
+             ("--seed", {"type": int, "default": 0}), *_BOUND, *_FORMAT,
+             help="check the extension group axioms")
+    _command(atl, "wordmap", cmd_atlas_wordmap, *_WORD, *_EXTENSION,
+             ("--cosets", {"required": True, "help": "comma-separated coset labels"}),
+             *_FORMAT, help="word-map series on fixed cosets")
+    _command(atl, "marginal", cmd_atlas_marginal, *_WORD, *_EXTENSION, *_BOUND, *_FORMAT,
+             help="constancy over all coset tuples")
 
-    p = top.add_parser("probe", help="search for l with w^l trivial")
-    p.add_argument("--word", required=True)
-    p.add_argument("--extension", required=True)
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--grid-depth", type=int, required=True, dest="grid_depth")
-    _add_bound(p)
-    _add_format(p)
-    p.set_defaults(func=cmd_probe)
-
-    p = top.add_parser("sample-data", help="write example JSON inputs")
-    p.add_argument("dir")
-    p.set_defaults(func=cmd_sample_data)
-
+    _command(top, "probe", cmd_probe, *_WORD, *_EXTENSION, ("--lmax", _REQUIRED_INT),
+             ("--grid-depth", {"type": int, "required": True, "dest": "grid_depth"}),
+             *_BOUND, *_FORMAT, help="search for l with w^l trivial")
+    _command(top, "sample-data", cmd_sample_data, ("dir", {}),
+             help="write example JSON inputs")
     return parser
 
 

@@ -244,9 +244,7 @@ class ProbeLevel:
             return {"l": self.l, "status": "witness",
                     "cosets": list(self.witness_cosets), "witness": self.witness}
         return {"l": self.l, "status": "constant", "trivial": self.trivial,
-                "rows": [{"cosets": list(r.cosets), "target": r.target,
-                          "constants": [str(c) for c in r.constants]}
-                         for r in self.rows]}
+                "rows": [r.to_json() for r in self.rows]}
 
 
 @dataclass(frozen=True)

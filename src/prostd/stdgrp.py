@@ -85,6 +85,9 @@ class StandardGroup:
         return GroupElement(self, (zero,) * self.law.d)
 
     def element(self, coords) -> GroupElement:
+        coords = list(coords)
+        if len(coords) != self.law.d:
+            raise ValueError(f"expected {self.law.d} coordinates, got {len(coords)}")
         out = []
         for c in coords:
             if isinstance(c, str):
@@ -96,8 +99,6 @@ class StandardGroup:
             if c.valuation() < self.N:
                 raise MaximalIdealError(f"coordinate valuation below level N={self.N}")
             out.append(c)
-        if len(out) != self.law.d:
-            raise ValueError(f"expected {self.law.d} coordinates, got {len(out)}")
         return GroupElement(self, tuple(out))
 
     # the law's kernels at full precision, where reduction changes nothing

@@ -81,6 +81,14 @@ def test_flag_conflicts_are_usage_errors(samples, capsys):
     code, out, err = run(capsys, ["group", "mul", "--x", "2", "--y", "2",
                                   "--law", "additive", "--m", "1"])
     assert code == 2 and "--Dt" in err
+    # neither --Dt without --m nor --law beside --group may be silently dropped
+    code, out, err = run(capsys, ["group", "mul", "--x", "2", "--y", "2",
+                                  "--law", "additive", "--Dt", "3"])
+    assert (code, out, err) == (2, "", "error: usage: --Dt needs --m\n")
+    code, out, err = run(capsys, ["group", "mul", "--x", "2,4,8", "--y", "6,2,4",
+                                  "--group", str(samples / "heisenberg_group.json"),
+                                  "--law", "additive"])
+    assert (code, out) == (2, "") and "--group" in err and "--law" in err
     # --level picks exhaustive mode and --samples picks sampled mode; giving
     # both must be rejected up front, not resolved by silently dropping one
     with pytest.raises(SystemExit) as ei:
@@ -96,6 +104,14 @@ def test_domain_errors_exit_one(samples, capsys):
     assert code == 1 and "WordSyntaxError" in err
     code, out, err = run(capsys, ["group", "inv", "--x", "1", "--law", "additive"])
     assert code == 1 and "MaximalIdealError" in err
+    code, out, err = run(capsys, ["group", "mul", "--x", "2,4,8,1", "--y", "6,2,4",
+                                  "--group", str(samples / "heisenberg_group.json")])
+    assert (code, out) == (1, "")
+    assert err == "error: ValueError: expected 3 coordinates, got 4\n"
+    # a prime too large to test exactly is refused at once, not trial-divided
+    code, out, err = run(capsys, ["group", "inv", "--x", "2", "--law", "additive",
+                                  "--p", str(2**127 - 1)])
+    assert (code, out) == (1, "") and err.startswith("error: ValueError: p must be below ")
     code, out, err = run(capsys, ["atlas", "validate", "--extension",
                                   str(samples / "inversion_p2.json"), "--samples", "-5"])
     assert code == 1 and out == ""

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from prostd.rings import (
     residue_map,
     specialise,
 )
+from prostd.rings import _PRIME_TEST_LIMIT, _is_prime
 
 SPECS = [padic(3, 4), eqchar(2, 4), nested(padic(2, 4), 2, 3), nested(eqchar(3, 3), 1, 3)]
 
@@ -46,6 +48,43 @@ def test_spec_validation():
         nested(padic(2, 3), 1, 0)
     with pytest.raises(ValueError):
         nested(nested(padic(2, 3), 1, 2), 1, 2)  # towers rejected
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_primality_matches_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)]
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # 3215031751 passes bases 2, 3, 5, 7; 3825123056546413051 passes 2 .. 23
+    for n in (3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(10**14 + 31)
+    assert not _is_prime((2**31 - 1) * (10**14 + 31))
+
+
+def test_primality_refuses_where_it_is_not_exact():
+    # the bound itself, 1287836182261 * 2575672364521, is the least composite
+    # that passes all 13 bases; the largest prime below it is still answered
+    assert _is_prime(_PRIME_TEST_LIMIT - 168)
+    for n in (_PRIME_TEST_LIMIT, 2**127 - 1):
+        with pytest.raises(ValueError, match="p must be below"):
+            _is_prime(n)
+    with pytest.raises(ValueError, match="p must be below"):
+        padic(2**127 - 1, 2)
+
+
+def test_primality_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(14)
+    for bits in (20, 40, 64, 81):
+        for _ in range(300):
+            n = rng.randrange(2, min(2**bits, _PRIME_TEST_LIMIT)) | 1
+            assert _is_prime(n) == sympy.isprime(n), n
 
 
 def test_spec_json_roundtrip():

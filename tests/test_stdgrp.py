@@ -35,6 +35,15 @@ def test_element_validation():
         StandardGroup(G.law, 0)
 
 
+def test_element_checks_the_coordinate_count_first():
+    # a coordinate outside the ideal must not hide a wrong count
+    G = heis_group()
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 4"):
+        G.element(["2", "4", "8", "1"])
+    with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
+        G.element(iter(["1", "2"]))
+
+
 def test_operations_check_the_level():
     # explicit checks, so they hold under python -O as well
     G = heis_group(N=2)
