@@ -17,25 +17,27 @@ The group operation and its symbolic shadow are
     (t, l)^-1       = (t^-1, A_inv[t](C_{t^-1}(I(l))))
 
 where identity charts C_r are marked once, at construction, and skipped.
-Both run on the compiled kernels of F, I, the charts and the corrections, on
-payloads reduced mod m^level: full precision for ``TransversalData``, m^M for
-``HQuotient``.
+Each formula is written once, generic over how a series tuple acts: its
+compiled kernel on payloads reduced mod m^level (full precision for
+``TransversalData``, m^M for ``HQuotient``), or composition on series.
 A word w with arguments constrained to cosets (t_1, .., t_k) folds to one
-series per coset tuple by ``words._fold``, which also serves ``word_series``.
+series per coset tuple by ``WordExpr.evaluate`` on (coset, series) pairs.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .errors import ExtensionDataError, ShapeError, _json_shape
 from .fgl import FormalGroupLaw
 from .rings import Coefficient, RingSpec, random_ideal_element
 from .series import SeriesTuple, _check_point, compose, constancy
 from .stdgrp import StandardGroup, _enumeration_guard, _payload, default_bound
-from .words import WordExpr, _Enumeration, _apply, _fold
+from .words import WordExpr, _Enumeration
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,28 +142,27 @@ class TransversalData:
         spec = self.L.law.spec
         for h in (x, y):  # F sees x and y only concatenated
             _check_point(spec, self.L.d, h.coords)
-        t, v = self._mul(x.t, tuple(map(_payload, x.coords)), y.t,
-                         tuple(map(_payload, y.coords)), spec.zero_valuation)
-        return HElement(t, tuple(Coefficient(spec, c) for c in v))
+        t, v = self._mul(x.t, tuple(map(_payload, x.coords)), y.t, tuple(map(_payload, y.coords)),
+                         _kernel_at(spec.zero_valuation), operator.add)
+        return HElement(t, self.L._at_level(v).coords)
 
     def inv(self, x: HElement) -> HElement:
         spec = self.L.law.spec
         _check_point(spec, self.L.d, x.coords)
-        t, v = self._inv(x.t, tuple(map(_payload, x.coords)), spec.zero_valuation)
-        return HElement(t, tuple(Coefficient(spec, c) for c in v))
+        t, v = self._inv(x.t, tuple(map(_payload, x.coords)), _kernel_at(spec.zero_valuation))
+        return HElement(t, self.L._at_level(v).coords)
 
-    def _mul(self, t: str, x: tuple, r: str, y: tuple, level: int) -> tuple[str, tuple]:
-        """(t, x) * (r, y) on trusted payload tuples, reduced mod m^level."""
-        run = _kernel_at(level)
-        v = self.L.law.F.kernel(level)(*_apply(self.charts, r, x, run), *y)
-        return self.T.mul[(t, r)], _apply(self.A, ("mul", t, r), v, run)
+    def _mul(self, t: str, x, r: str, y, act, join) -> tuple:
+        """(t, x) * (r, y), where act(S, v) applies a series tuple S to the
+        coordinates v and join(x, y) concatenates two coordinate blocks."""
+        v = act(self.L.law.F, join(_apply(self.charts, r, x, act), y))
+        return self.T.mul[(t, r)], _apply(self.A, ("mul", t, r), v, act)
 
-    def _inv(self, t: str, x: tuple, level: int) -> tuple[str, tuple]:
-        """(t, x)^-1 on a trusted payload tuple, reduced mod m^level."""
-        run = _kernel_at(level)
+    def _inv(self, t: str, x, act) -> tuple:
+        """(t, x)^-1, with act as in ``_mul``."""
         r = self.T.inv[t]
-        v = _apply(self.charts, r, self.L.law.I.kernel(level)(*x), run)
-        return r, _apply(self.A, ("inv", t), v, run)
+        v = _apply(self.charts, r, act(self.L.law.I, x), act)
+        return r, _apply(self.A, ("inv", t), v, act)
 
     def map_coefficients(self, phi) -> TransversalData:
         """Transport the whole chart along a coefficient map, then revalidate."""
@@ -187,8 +188,14 @@ def _check_chart_series(S: SeriesTuple, d: int, spec: RingSpec, D: int, name: st
         raise ExtensionDataError(f"{name} must have zero constant terms")
 
 
+def _apply(series, key, x, act):
+    """act(series[key], x); a missing key stands for the identity series."""
+    S = series.get(key)
+    return x if S is None else act(S, x)
+
+
 def _kernel_at(level: int):
-    """``apply`` for ``words._apply``: a series tuple's level kernel on payloads."""
+    """The action of a series tuple on payload tuples: its kernel mod m^level."""
     return lambda S, v: S.kernel(level)(*v)
 
 
@@ -343,7 +350,7 @@ def validate_transversal(data: TransversalData, level: int | None = None,
     else:
         rng = random.Random(seed)
         spec, d = data.L.law.spec, data.L.d
-        full = spec.zero_valuation  # products at full precision, as TransversalData.mul
+        full = _kernel_at(spec.zero_valuation)  # full precision, as TransversalData.mul
         triples = []
         for _ in range(samples):
             triple = []
@@ -356,7 +363,8 @@ def validate_transversal(data: TransversalData, level: int | None = None,
         mode = f"sampled {samples}"
         checked = samples
         failures += _pointwise_failures(
-            triples, lambda x, y: data._mul(*x, *y, full), lambda x: data._inv(*x, full),
+            triples, lambda x, y: data._mul(*x, *y, full, operator.add),
+            lambda x: data._inv(*x, full),
             (data.T.identity, (spec.ops.zero,) * d),
             lambda x: str(HElement(x[0], tuple(Coefficient(spec, c) for c in x[1]))))
     return ValidationReport(not failures, mode, checked, tuple(failures))
@@ -371,6 +379,7 @@ class HQuotient:
         self.data = data
         self.M = M
         self._lq = lq
+        self._act = _kernel_at(M)
         self.elements = [(t, coords) for t in data.T.elements for coords in lq.elements]
         self.identity = (data.T.identity, lq.identity)
 
@@ -379,11 +388,11 @@ class HQuotient:
 
     def mul(self, x, y):
         t, v = self.data._mul(x[0], tuple(map(_payload, x[1])), y[0],
-                              tuple(map(_payload, y[1])), self.M)
+                              tuple(map(_payload, y[1])), self._act, operator.add)
         return (t, self._lq._element(v))
 
     def inv(self, x):
-        t, v = self.data._inv(x[0], tuple(map(_payload, x[1])), self.M)
+        t, v = self.data._inv(x[0], tuple(map(_payload, x[1])), self._act)
         return (t, self._lq._element(v))
 
 
@@ -408,7 +417,13 @@ def coset_word_series(w: WordExpr, data: TransversalData,
     for t in cosets:
         if t not in data.T.elements:
             raise ExtensionDataError(f"unknown coset label {t!r}")
-    return CosetWordSeries(w, tuple(cosets), *_fold(w, data.L.law, data, cosets))
+    spec, d, D = data.L.law.spec, data.L.d, data.L.law.D
+    nv = d * w.k
+    pairs = SimpleNamespace(identity=(data.T.identity, SeriesTuple.zeros(spec, d, nv, D)),
+                            mul=lambda x, y: data._mul(*x, *y, compose, SeriesTuple.concat),
+                            inv=lambda x: data._inv(*x, compose))
+    args = [(t, SeriesTuple.block(spec, nv, D, i * d, d)) for i, t in enumerate(cosets)]
+    return CosetWordSeries(w, tuple(cosets), *w.evaluate(pairs, args))
 
 
 @dataclass(frozen=True)

@@ -218,44 +218,17 @@ class WordSeries:
     W: SeriesTuple
 
 
-def _apply(series, key, x, apply):
-    """apply(series[key], x); a missing key stands for the identity series."""
-    S = series.get(key)
-    return x if S is None else apply(S, x)
-
-
-def _fold(w: WordExpr, law: FormalGroupLaw, ext, cosets) -> tuple[str, SeriesTuple]:
-    """The one word fold: iterate the product formula of ``atlas`` over an
-    extension ``ext`` (coset table T, non-identity charts, corrections A) with
-    argument i on coset cosets[i-1].  Returns the target coset and d series
-    in d*k variables with W(0) = 0; identity charts cost no composition."""
-    d, spec, D = law.d, law.spec, law.D
-    nv = d * w.k
-    cur = ext.T.identity
-    acc = SeriesTuple.zeros(spec, d, nv, D)
-    blocks = [SeriesTuple.block(spec, nv, D, i * d, d) for i in range(w.k)]
-    for gen, sign in w.letters:
-        t = r = cosets[gen - 1]
-        u = blocks[gen - 1]
-        if sign < 0:
-            r = ext.T.inv[t]
-            u = _apply(ext.charts, r, compose(law.I, u), compose)
-            u = _apply(ext.A, ("inv", t), u, compose)
-        acc = compose(law.F, _apply(ext.charts, r, acc, compose).concat(u))
-        acc = _apply(ext.A, ("mul", cur, r), acc, compose)
-        cur = ext.T.mul[(cur, r)]
-    return cur, acc
-
-
-# word_series folds over the trivial extension: one coset, no charts or corrections
-_TRIVIAL = SimpleNamespace(T=SimpleNamespace(identity="1", mul={("1", "1"): "1"}, inv={"1": "1"}),
-                           charts={}, A={})
-
-
 def word_series(w: WordExpr, law: FormalGroupLaw) -> WordSeries:
     """The word map as d series in d*k variables, one block of d per
-    generator, with W(0) = 0."""
-    return WordSeries(w, law.d, _fold(w, law, _TRIVIAL, ("1",) * w.k)[1])
+    generator, with W(0) = 0: the word's fold over series, where a product
+    composes F and an inverse composes I, once per inverted generator."""
+    d, spec, D = law.d, law.spec, law.D
+    nv = d * w.k
+    series = SimpleNamespace(identity=SeriesTuple.zeros(spec, d, nv, D),
+                             mul=lambda x, y: compose(law.F, x.concat(y)),
+                             inv=lambda x: compose(law.I, x))
+    blocks = [SeriesTuple.block(spec, nv, D, i * d, d) for i in range(w.k)]
+    return WordSeries(w, d, w.evaluate(series, blocks))
 
 
 # --------------------------------------------------------------------------
@@ -326,16 +299,17 @@ class _Enumeration:
         """w as a function of an index tuple, on the route that counts the
         fewest products (ties go to the table, then the fold): the n^2 table,
         free once built and tabulated here when within the bound; W mod m^M,
-        |w| + (negative letters) compositions and n calls, for one-generator
-        words on a quotient with M <= D*N, where truncation at degree D drops
-        only terms of valuation >= D*N >= M; or the letter fold, n^k*|w|.
-        For k >= 2 the table never costs more than the n^k tuples."""
+        one composition per letter plus one for x1^-1 if it occurs, and n
+        calls, for one-generator words on a quotient with M <= D*N, where
+        truncation at degree D drops only terms of valuation >= D*N >= M; or
+        the letter fold, n^k*|w|.  For k >= 2 the table never costs more than
+        the n^k tuples."""
         n, Q = len(self.elements), self._quotient
         costs = {"table": 0 if self.table is not None else n * n if n * n <= bound else math.inf,
                  "fold": n**w.k * len(w.letters), "series": math.inf}
         if w.k == 1 and Q is not None and Q.M <= Q.group.law.D * Q.group.N:
-            negatives = sum(sign < 0 for _, sign in w.letters)
-            costs["series"] = _COMPOSE_CALLS * (len(w.letters) + negatives) + n
+            inverted = any(sign < 0 for _, sign in w.letters)
+            costs["series"] = _COMPOSE_CALLS * (len(w.letters) + inverted) + n
         route = min(costs, key=costs.get)
         if route == "fold":
             return functools.partial(w.evaluate, self)

@@ -436,6 +436,21 @@ def test_quotient_checks_closure():
         hq.mul(x, x)
 
 
+def test_products_stay_at_level_n():
+    # as StandardGroup.mul and inv: a result below L's level N is refused
+    data = inversion_extension(additive_group(N=2))
+    spec = data.L.law.spec
+    below = HElement("s", (Coefficient.make(spec, 2),))
+    with pytest.raises(MaximalIdealError, match="left level N=2"):
+        data.inv(below)
+    with pytest.raises(MaximalIdealError, match="left level N=2"):
+        data.mul(data.identity, below)
+    x, y = data.element("s", [4]), data.element("1", [4])
+    # C_s is the formal inverse: (s, l)^-1 = (s, l) and (1, m)·(s, l) = (s, l - m)
+    assert data.inv(x) == x and data.mul(x, x) == data.identity
+    assert data.mul(y, x) == data.element("s", [0])
+
+
 def test_mul_checks_coordinate_counts():
     # the identity chart of coset 1 is skipped, so x's count is checked apart
     L = StandardGroup(builtin("heisenberg", padic(2, 4), 4), 1)
@@ -494,6 +509,49 @@ def test_coset_word_series_on_trivial_extension_is_word_series():
             assert cs.target == "1" and cs.W == word_series(w, law).W
 
 
+def _letter_fold(w, law, T, C, A, cosets):
+    """The extension product written out on series and folded letter by
+    letter, inverting afresh at every inverted letter: (t, l)·(r, m) =
+    (t·r, A_mul[t,r](F(C_r(l), m))) and (t, l)^-1 = (t^-1, A_inv[t](C_{t^-1}(I(l))))
+    with every chart applied, the identity ones included."""
+    spec, d, D = law.spec, law.d, law.D
+    nv = d * w.k
+    run = lambda S, x: x if S is None else compose(S, x)
+    cur, acc = T.identity, SeriesTuple.zeros(spec, d, nv, D)
+    for gen, sign in w.letters:
+        r = cosets[gen - 1]
+        u = SeriesTuple.block(spec, nv, D, (gen - 1) * d, d)
+        if sign < 0:
+            t, r = r, T.inv[r]
+            u = run(A.get(("inv", t)), run(C.get(r), compose(law.I, u)))
+        acc = run(A.get(("mul", cur, r)), compose(law.F, run(C.get(r), acc).concat(u)))
+        cur = T.mul[(cur, r)]
+    return cur, acc
+
+
+ORACLE_WORDS = ["x1^-3 x2^-2 [x1, x2]^2", "[x1, x2]", "x1^-1 x2 x1^-2", "x1^2 x2^-1"]
+
+
+def test_word_series_match_the_letter_fold():
+    trivial = cyclic_table(1)
+    for law in (builtin("heisenberg", padic(2, 4), 4), builtin("multiplicative", padic(3, 3), 6)):
+        for text in ORACLE_WORDS:
+            w = parse_word(text)
+            target, W = _letter_fold(w, law, trivial, {}, {}, ("1",) * w.k)
+            assert target == "1" and word_series(w, law).W == W, text
+    extensions = [extension_from_json(_sample_objects()[name])
+                  for name in ("inversion_p2.json", "inversion_p3.json", "dirprod.json")]
+    corrected = next(corrected_extensions())
+    assert not corrected.split and corrected.charts
+    for data in (*extensions, corrected):
+        for text in ORACLE_WORDS:
+            w = parse_word(text)
+            for cosets in itertools.product(data.T.elements, repeat=w.k):
+                cs = coset_word_series(w, data, cosets)
+                assert (cs.target, cs.W) == _letter_fold(w, data.L.law, data.T, data.C, data.A,
+                                                         cosets), (text, cosets)
+
+
 def _count_compositions(monkeypatch):
     calls = []
 
@@ -522,10 +580,12 @@ def test_word_fold_skips_identity_charts(monkeypatch):
         calls.clear()
         check_marginality(w, data)
         counts.append(len(calls))
-    # 12 letters, 6 of them inverted: 18 compositions per coset tuple, plus
-    # two per inverted letter and one per plain letter on a non-identity
-    # chart; inversion_p3 stops at its second tuple, (1, s)
-    assert counts == [72, 72, 45]
+    # 12 letters and 2 inverted generators: 12 + 2 = 14 compositions per
+    # coset tuple, so 4 * 14 = 56 without charts.  inversion_p3 stops at its
+    # second tuple, (1, s): 14 at (1, 1), then at (1, s) 14 plus one for the
+    # chart C_s in the one inverse of x2 (s^-1 = s) and one for each of the
+    # 6 products with x2 or x2^-1, whose coset is s: 14 + 21 = 35
+    assert counts == [56, 56, 35]
     # -x = x in characteristic 2, so both charts of inversion_p2 are the identity
     assert inversion_p2.charts == dirprod.charts == {} and set(inversion_p3.charts) == {"s"}
 
@@ -533,12 +593,13 @@ def test_word_fold_skips_identity_charts(monkeypatch):
 def test_word_series_composition_count(monkeypatch):
     law = builtin("heisenberg", padic(2, 4), 4)
     calls = _count_compositions(monkeypatch)
-    for text, n in [("x1^2", 2), ("x1 x2^-1 x1", 4), ("[x1, x2]", 6), ("[x1, x2]^3", 18),
-                    ("x1^-3 x2", 7)]:
+    # one composition of F per letter, one of I per inverted generator
+    for text, n in [("x1^2", 2), ("x1 x2^-1 x1", 4), ("[x1, x2]", 6), ("[x1, x2]^3", 14),
+                    ("x1^-3 x2", 5)]:
         calls.clear()
         w = parse_word(text)
         word_series(w, law)
-        assert len(calls) == n == len(w.letters) + sum(s < 0 for _, s in w.letters)
+        assert len(calls) == n == len(w.letters) + len({g for g, s in w.letters if s < 0})
 
 
 # -- marginality --------------------------------------------------------------------------

@@ -104,16 +104,35 @@ def test_enumeration_bound_raised_only_by_the_shared_guard():
 
 
 def test_one_word_fold():
-    # word_series and coset_word_series are one fold over a word's letters
-    # (the plain one runs on the trivial extension); a second function that
-    # loops over .letters and composes series is a second copy of it
+    # word_series and coset_word_series are WordExpr.evaluate on a series
+    # handle, and the extension product and inverse are written once, in
+    # TransversalData; a function that loops over .letters and composes
+    # series is a second fold, and a fold helper in words a second formula
+    sources = dict(_sources())
     folds = set()
-    for name, tree in _sources():
+    for name, tree in sources.items():
         composers = {owner for owner, node in _calls(tree) if _callee(node) == "compose"}
         folds |= {(name, owner) for owner, node in _calls(tree, (ast.For, ast.comprehension))
                   if isinstance(node.iter, ast.Attribute) and node.iter.attr == "letters"
                   and owner in composers}
-    assert folds == {("words.py", "_fold")}, f"word folds: {sorted(folds)}"
+    assert not folds, f"word folds: {sorted(folds)}"
+    evaluators = {(name, owner) for name, tree in sources.items()
+                  for owner, node in _calls(tree) if _callee(node) == "evaluate"}
+    assert {("words.py", "word_series"), ("atlas.py", "coset_word_series")} <= evaluators
+    words = sources["words.py"]
+    defined = {node.name for node in words.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in words.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    assert not defined & {"_fold", "_apply", "_TRIVIAL"}, sorted(defined)
+    imported = {alias.name for node in sources["atlas.py"].body
+                if isinstance(node, ast.ImportFrom) and node.module == "words"
+                for alias in node.names}
+    assert imported == {"WordExpr", "_Enumeration"}, sorted(imported)
+    formulas = {(name, owner) for name, tree in sources.items()
+                for owner, node in _calls(tree) if _callee(node) == "_apply"}
+    assert formulas == {("atlas.py", "TransversalData._mul"),
+                        ("atlas.py", "TransversalData._inv")}, sorted(formulas)
 
 
 def test_one_enumeration():
