@@ -22,6 +22,8 @@ compiled kernel on payloads reduced mod m^level (full precision for
 ``TransversalData``, m^M for ``HQuotient``), or composition on series.
 A word w with arguments constrained to cosets (t_1, .., t_k) folds to one
 series per coset tuple by ``WordExpr.evaluate`` on (coset, series) pairs.
+``TransversalData.check`` runs both formulas on series: the one symbolic proof
+that the data form a group, behind ``split_extension`` and the symbolic CLI.
 """
 
 from __future__ import annotations
@@ -164,6 +166,22 @@ class TransversalData:
         v = _apply(self.charts, r, act(self.L.law.I, x), act)
         return r, _apply(self.A, ("inv", t), v, act)
 
+    def check(self) -> TransversalData:
+        """Prove the group axioms exactly at degree D: the formulas compose
+        series on (t, X), (r, Y), (s, Z) for every coset triple, with X, Y, Z
+        the variable blocks in 3d variables.  Raises the first failure."""
+        spec, d, D = self.L.law.spec, self.L.d, self.L.law.D
+        blocks = [SeriesTuple.block(spec, 3 * d, D, i * d, d) for i in range(3)]
+        failures = _pointwise_failures(
+            (tuple(zip(ts, blocks)) for ts in itertools.product(self.T.elements, repeat=3)),
+            lambda x, y: self._mul(*x, *y, compose, SeriesTuple.concat),
+            lambda x: self._inv(*x, compose),
+            (self.T.identity, SeriesTuple.zeros(spec, d, 3 * d, D)), operator.itemgetter(0),
+            limit=1)
+        if failures:
+            raise ExtensionDataError(failures[0])
+        return self
+
     def map_coefficients(self, phi) -> TransversalData:
         """Transport the whole chart along a coefficient map, then revalidate."""
         law = self.L.law.map_coefficients(phi)
@@ -204,39 +222,13 @@ def _identity_series(spec: RingSpec, d: int, D: int) -> SeriesTuple:
 
 
 def split_extension(L: StandardGroup, T: CosetTable, action: dict) -> TransversalData:
-    """Build split data from a T-action by law automorphisms.
-
-    Checks symbolically that each C_t respects the law, that C_1 is the
-    identity, and that C_q(C_r(X)) = C_{rq}(X) (conjugation composes as a
-    right action).
-    """
-    d, spec, D = L.d, L.law.spec, L.law.D
-    law = L.law
-    if set(action) != set(T.elements):
-        raise ExtensionDataError("action must assign a series tuple to every coset")
-    for t, S in action.items():
-        _check_chart_series(S, d, spec, D, f"action[{t}]")
-    ident = _identity_series(spec, d, D)
-    if action[T.identity] != ident:
+    """Split data from a T-action with C_1 the identity, proved by ``check``:
+    associativity at (1, 1, s) says that C_s respects the law, and at
+    (1, r, s) that C_s(C_r(X)) = C_{rs}(X) (conjugation is a right action)."""
+    data = TransversalData(L=L, T=T, C=dict(action))
+    if T.identity in data.charts:
         raise ExtensionDataError("action of the identity coset must be the identity series")
-    x_blk = SeriesTuple.block(spec, 2 * d, D, 0, d)
-    y_blk = SeriesTuple.block(spec, 2 * d, D, d, d)
-
-    def require_equal(lhs, rhs, failure):
-        # every series compared here has zero constant terms, so a constant
-        # difference is zero
-        bad = constancy(lhs - rhs)
-        if not bad.constant:
-            raise ExtensionDataError(f"{failure}, witness {bad.witness_name()}")
-
-    for t, S in action.items():
-        require_equal(compose(S, law.F),
-                      compose(law.F, compose(S, x_blk).concat(compose(S, y_blk))),
-                      f"action[{t}] fails the automorphism check")
-    for t, r in itertools.product(T.elements, repeat=2):
-        require_equal(compose(action[t], action[r]), action[T.mul[(r, t)]],
-                      f"action is incompatible at ({t}, {r})")
-    return TransversalData(L=L, T=T, C=dict(action), A={})
+    return data.check()
 
 
 def direct_product(L: StandardGroup, T: CosetTable) -> TransversalData:
@@ -273,8 +265,7 @@ def _structural_failures(data: TransversalData) -> list[str]:
         data.T.check()
     except ExtensionDataError as e:
         out.append(f"coset table: {e}")
-    d, spec, D = data.L.d, data.L.law.spec, data.L.law.D
-    if data.C.get(data.T.identity) != _identity_series(spec, d, D):
+    if data.T.identity in data.charts:
         out.append("C[identity] is not the identity series")
     return out
 
@@ -357,7 +348,6 @@ def validate_transversal(data: TransversalData, level: int | None = None,
             for _ in range(3):
                 t = rng.choice(data.T.elements)
                 coords = tuple(random_ideal_element(spec, data.L.N, rng) for _ in range(d))
-                _check_point(spec, d, coords)
                 triple.append((t, tuple(map(_payload, coords))))
             triples.append(triple)
         mode = f"sampled {samples}"

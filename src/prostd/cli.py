@@ -131,7 +131,8 @@ def _parse_element(group: StandardGroup, text: str):
 
 
 def _load_extension(args):
-    return extension_from_json(_read_json(args.extension))
+    """The extension file, proved a group before any symbolic work."""
+    return extension_from_json(_read_json(args.extension)).check()
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def cmd_word_image(args) -> int:
 
 
 def cmd_atlas_validate(args) -> int:
-    data = _load_extension(args)
+    data = extension_from_json(_read_json(args.extension))  # reports failures itself
     report = validate_transversal(data, level=args.level, samples=args.samples,
                                   seed=args.seed, bound=args.bound)
     lines = [f"mode: {report.mode}", f"checked: {report.checked}",

@@ -93,19 +93,99 @@ def test_split_extension_rejections():
     T = cyclic_table(2)
     spec, D = L.law.spec, L.law.D
     ident = identity_series(spec, 1, D)
-    with pytest.raises(ExtensionDataError, match="assign a series tuple"):
+    with pytest.raises(ExtensionDataError, match="cover exactly T"):
         split_extension(L, T, {"1": ident})
     with pytest.raises(ExtensionDataError, match="identity coset"):
         split_extension(L, T, {"1": L.law.I, "s": L.law.I})
     # x -> 2x respects the additive law but squares to 4x, not the identity
     two = Coefficient.make(spec, 2)
     doubling = SeriesTuple.of(ident[0].scale(two))
-    with pytest.raises(ExtensionDataError, match="incompatible at \\(s, s\\)"):
+    with pytest.raises(ExtensionDataError, match=r"associativity fails at \(1, s, s\)"):
         split_extension(L, T, {"1": ident, "s": doubling})
     # the formal inverse of a nonabelian law is not a law automorphism
     H = StandardGroup(builtin("heisenberg", padic(2, 4), 4), 1)
-    with pytest.raises(ExtensionDataError, match="automorphism"):
+    with pytest.raises(ExtensionDataError, match=r"associativity fails at \(1, 1, s\)"):
         split_extension(H, T, {"1": identity_series(H.law.spec, 3, 4), "s": H.law.I})
+
+
+def split_oracle(L, T, action) -> bool:
+    """The former split proof: C_1 is the identity, each C_t is a law
+    automorphism, and C_t(C_r(X)) = C_{rt}(X)."""
+    law, d, D = L.law, L.d, L.law.D
+    X = SeriesTuple.block(law.spec, 2 * d, D, 0, d)
+    Y = SeriesTuple.block(law.spec, 2 * d, D, d, d)
+    automorphisms = all(
+        compose(S, law.F) == compose(law.F, compose(S, X).concat(compose(S, Y)))
+        for S in action.values())
+    compatible = all(compose(action[t], action[r]) == action[T.mul[(r, t)]]
+                     for t, r in itertools.product(T.elements, repeat=2))
+    identity = action[T.identity] == identity_series(law.spec, d, D)
+    return identity and automorphisms and compatible
+
+
+def split_actions():
+    """(L, T, action, accepted by the former proof), named."""
+    rings = {"p-adic": padic(3, 3), "eq-char": eqchar(2, 3), "nested": nested(padic(2, 3), 1, 2)}
+    C2, C3, C4 = cyclic_table(2), cyclic_table(3), cyclic_table(4)
+    for kind, spec in rings.items():
+        L = StandardGroup(builtin("multiplicative", spec, 4), 1)
+        ident = identity_series(spec, 1, 4)
+        yield pytest.param(L, C2, dict.fromkeys(C2.elements, ident), True, id=f"identity-{kind}")
+        for name in ("additive", "multiplicative"):
+            L = StandardGroup(builtin(name, spec, 4), 1)
+            yield pytest.param(L, C2, {"1": ident, "s": L.law.I}, True,
+                               id=f"inverse-{name}-{kind}")
+    L = additive_group(p=3, K=3, D=3)
+    ident, inverse = identity_series(L.law.spec, 1, 3), L.law.I
+    yield pytest.param(L, C3, dict.fromkeys(C3.elements, ident), True, id="identity-C3")
+    yield pytest.param(L, C3, {"1": ident, "s": inverse, "s2": inverse}, False, id="inverse-C3")
+    yield pytest.param(L, C4, {"1": ident, "s": inverse, "s2": ident, "s3": inverse}, True,
+                       id="inverse-through-C2-C4")
+    L = additive_group()
+    ident = identity_series(L.law.spec, 1, L.law.D)
+    doubling = SeriesTuple.of(ident[0].scale(Coefficient.make(L.law.spec, 2)))
+    yield pytest.param(L, C2, {"1": ident, "s": doubling}, False, id="doubling")
+    H = StandardGroup(builtin("heisenberg", padic(2, 5), 5), 1)
+    ident = identity_series(H.law.spec, 3, 5)
+    for g, ok in (((16, 0, 0), True), ((2, 4, 8), False)):
+        yield pytest.param(H, C2, {"1": ident, "s": H.conj_series(H.element(g))}, ok,
+                           id=f"conj-{g}")
+    yield pytest.param(H, C2, {"1": ident, "s": H.law.I}, False, id="inverse-heisenberg")
+
+
+@pytest.mark.parametrize("L,T,action,accepted", list(split_actions()))
+def test_split_extension_matches_the_former_split_proof(L, T, action, accepted):
+    # one associativity proof accepts exactly the actions that the automorphism
+    # and compatibility identities accept
+    assert split_oracle(L, T, action) is accepted
+    if accepted:
+        data = split_extension(L, T, action)
+        assert data.split and data.C == action
+    else:
+        with pytest.raises(ExtensionDataError, match="fails at"):
+            split_extension(L, T, action)
+
+
+def test_check_accepts_non_split_and_sample_data():
+    data = inversion_extension(StandardGroup(builtin("multiplicative", padic(3, 3), 4), 1))
+    ident = data.C["1"]
+    noisy = TransversalData(L=data.L, T=data.T, C=dict(data.C),
+                            A={("mul", "s", "s"): ident, ("inv", "s"): ident})
+    assert not noisy.split and noisy.check() is noisy
+    for obj in _sample_objects().values():
+        if "C" in obj:
+            extension_from_json(obj).check()
+
+
+@pytest.mark.parametrize("data", list(corrected_extensions()),
+                         ids=lambda d: d.L.law.spec.kind)
+def test_check_refuses_the_corrected_fixtures(data):
+    # the corrections of the kernel fixtures do not make a group; exhaustive
+    # validation and the symbolic proof both say so
+    report = validate_transversal(data)
+    assert report.mode.startswith("exhaustive") and not report.ok
+    with pytest.raises(ExtensionDataError, match="fails at"):
+        data.check()
 
 
 # -- group operations against an integer oracle ---------------------------------------------

@@ -244,6 +244,24 @@ def test_atlas_commands(samples, capsys):
     assert code == 0 and out.splitlines()[0] == "target: 1"
 
 
+def test_symbolic_commands_refuse_extensions_that_are_not_groups(samples, capsys):
+    # C_s = X1 + X1^2 is not a law automorphism of the additive law, so the
+    # file is not a group; atlas validate reports it, and the symbolic
+    # commands refuse it before answering
+    obj = json.loads((samples / "inversion_p3.json").read_text())
+    obj["C"]["s"][0]["terms"] = [[[1], "1"], [[2], "1"]]
+    bad = samples / "not_a_group.json"
+    bad.write_text(json.dumps(obj))
+    for argv in (["atlas", "marginal", "--word", "x1^2"],
+                 ["atlas", "wordmap", "--word", "x1^2", "--cosets", "s"],
+                 ["probe", "--word", "x1^2", "--lmax", "2", "--grid-depth", "2"]):
+        code, out, err = run(capsys, argv + ["--extension", str(bad)])
+        assert (code, out) == (1, "")
+        assert err == "error: ExtensionDataError: associativity fails at (1, 1, s)\n"
+    code, out, err = run(capsys, ["atlas", "validate", "--extension", str(bad)])
+    assert code == 1 and "ok: false" in out and err == ""
+
+
 def test_probe_commands(samples, capsys):
     code, out, err = run(capsys, ["probe", "--word", "x1",
                                   "--extension", str(samples / "inversion_p2.json"),

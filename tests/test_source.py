@@ -135,6 +135,16 @@ def test_one_word_fold():
                         ("atlas.py", "TransversalData._inv")}, sorted(formulas)
 
 
+def test_one_extension_proof():
+    # split_extension proves its action through TransversalData.check, the
+    # product and inverse formulas on series; composing charts or comparing
+    # series of its own would be a second proof
+    calls = {_callee(node) for owner, node in _calls(dict(_sources())["atlas.py"])
+             if owner == "split_extension"}
+    assert "check" in calls, sorted(calls)
+    assert not calls & {"compose", "constancy"}, sorted(calls)
+
+
 def test_one_enumeration():
     # finite handles are enumerated by one indexed class, which picks the
     # table, series or letter fold itself; a second class with evaluator and
