@@ -169,7 +169,9 @@ class TransversalData:
     def check(self) -> TransversalData:
         """Prove the group axioms exactly at degree D: the formulas compose
         series on (t, X), (r, Y), (s, Z) for every coset triple, with X, Y, Z
-        the variable blocks in 3d variables.  Raises the first failure."""
+        the variable blocks in 3d variables.  Identity and inverses are
+        checked on the (t, X) alone: (t, Y) and (t, Z) are the same elements
+        with the variables renamed.  Raises the first failure."""
         spec, d, D = self.L.law.spec, self.L.d, self.L.law.D
         blocks = [SeriesTuple.block(spec, 3 * d, D, i * d, d) for i in range(3)]
         failures = _pointwise_failures(
@@ -177,7 +179,7 @@ class TransversalData:
             lambda x, y: self._mul(*x, *y, compose, SeriesTuple.concat),
             lambda x: self._inv(*x, compose),
             (self.T.identity, SeriesTuple.zeros(spec, d, 3 * d, D)), operator.itemgetter(0),
-            limit=1)
+            limit=1, elements=[(t, blocks[0]) for t in self.T.elements])
         if failures:
             raise ExtensionDataError(failures[0])
         return self
@@ -270,9 +272,10 @@ def _structural_failures(data: TransversalData) -> list[str]:
     return out
 
 
-def _pointwise_failures(triples, mul, inv, e, fmt, limit: int = 3) -> list[str]:
-    """Associativity on the triples, then identity and inverse on their
-    elements in first-seen order, so reports do not depend on hashing."""
+def _pointwise_failures(triples, mul, inv, e, fmt, limit: int = 3, elements=None) -> list[str]:
+    """Associativity on the triples, then identity and inverse on ``elements``
+    or the triples' elements in first-seen order, so reports do not depend on
+    hashing."""
     out = []
     seen = {}
     for x, y, z in triples:
@@ -281,7 +284,7 @@ def _pointwise_failures(triples, mul, inv, e, fmt, limit: int = 3) -> list[str]:
             out.append(f"associativity fails at ({fmt(x)}, {fmt(y)}, {fmt(z)})")
             if len(out) >= limit:
                 return out
-    return out + _unit_failures(seen, mul, inv, e, fmt, limit - len(out))
+    return out + _unit_failures(elements or seen, mul, inv, e, fmt, limit - len(out))
 
 
 def _unit_failures(elements, mul, inv, e, fmt, limit: int = 3) -> list[str]:

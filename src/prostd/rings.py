@@ -22,6 +22,18 @@ truncation bound, and the pairs are in graded-lex order (``grlex_key``).
 Sums, products, reductions and constructors build that form through
 ``collect`` (``poly_mul`` multiplies, then collects); negation and slicing
 keep it.
+
+Coefficient text has one grammar on every ring shape:
+
+    coefficient := signs term (signs term)*     signs := ('+' | '-')*
+    term        := factor ('*' factor)*
+    factor      := integer | variable ['^' integer] | '(' base coefficient ')'
+
+Sign runs multiply out; '*' may be left out only between an integer and a
+variable ("2t").  ``t`` exists on eq-char rings and nested rings over them,
+``t1``..``tm`` and parentheses (holding base-ring text) on nested rings.  A
+term's degree in ``t`` stays below K, and in ``t1``..``tm`` below Dt.
+Integers are ASCII digits; blanks may separate tokens, never split one.
 """
 
 from __future__ import annotations
@@ -29,7 +41,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
@@ -705,127 +716,124 @@ def format_coefficient(c: Coefficient) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-_EQ_TERM = re.compile(r"^(\d+)?(?:\*?t(?:\^(\d+))?)?$")
+class _Cursor:
+    """A position in text, for the recursive-descent parsers of coefficient
+    and word text: any run of ``blanks`` may separate two tokens, and
+    integers are ASCII digits."""
+
+    blanks = " \t\n\r\f\v"
+
+    def __init__(self, text: str):
+        self.text, self.pos = text, 0
+
+    def error(self, message: str, pos: int | None = None):
+        raise ValueError(f"{message} (at position {self.pos if pos is None else pos})")
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos] in self.blanks:
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def at_digit(self) -> bool:
+        return "0" <= self.peek() <= "9"
+
+    def integer(self) -> int:
+        """ASCII digits, after an optional '-'."""
+        start = self.pos
+        if self.peek() == "-":
+            self.pos += 1
+        digits = self.pos
+        while self.at_digit():
+            self.pos += 1
+        if self.pos == digits:
+            self.error("expected an integer")
+        return int(self.text[start:self.pos])
 
 
-def _parse_eqchar(spec: RingSpec, text: str) -> Coefficient:
-    s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty coefficient string")
-    digits = [0] * spec.K
-    sign = 1
-    token = ""
+class _CoefficientParser(_Cursor):
+    """The coefficient grammar of the module docstring, on every ring shape."""
 
-    def flush(token, sign):
-        m = _EQ_TERM.match(token)
-        if not m or not token:
-            raise ValueError(f"bad eq-char term {token!r}")
-        coeff = int(m.group(1)) if m.group(1) is not None else 1
-        if "t" in token:
-            e = int(m.group(2)) if m.group(2) is not None else 1
-        else:
-            e = 0
-        if e >= spec.K:
-            raise ValueError(f"term degree {e} outside precision K={spec.K}")
-        digits[e] = (digits[e] + sign * coeff) % spec.p
+    def coefficient(self, spec: RingSpec) -> Coefficient:
+        """signs term (signs term)*, ending before ')' or at the end of the text."""
+        acc = self.term(spec, self.signs())
+        while self.peek() in ("+", "-"):
+            acc = acc + self.term(spec, self.signs())
+        return acc
 
-    i = 0
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-":
-            flush(token, sign)
-            token = ""
-            sign = -1 if ch == "-" else 1
-        else:
-            token += ch
-        i += 1
-    flush(token, sign)
-    return Coefficient(spec, tuple(digits))
+    def signs(self) -> int:
+        sign = 1
+        self.skip_ws()
+        while self.peek() in ("+", "-"):
+            sign = -sign if self.peek() == "-" else sign
+            self.pos += 1
+            self.skip_ws()
+        return sign
 
+    def term(self, spec: RingSpec, n: int) -> Coefficient:
+        """n times factor ('*' factor)*.  Integers, ``t`` and parenthesised
+        text are values of ``ring`` (a nested ring's base), and ``t1``..``tm``
+        make the monomial of a nested term."""
+        ring = spec.base if spec.kind == NESTED else spec
+        e, alpha, parts = 0, [0] * spec.m, []
+        while True:
+            self.skip_ws()
+            start = self.pos
+            if self.at_digit():
+                n *= self.integer()
+                self.skip_ws()
+                if self.peek() == "t":
+                    continue
+            elif self.peek() == "t":
+                self.pos += 1
+                index = self.integer() if self.at_digit() else None
+                if not (ring.kind == EQ_CHAR if index is None else 1 <= index <= spec.m):
+                    self.error(f"no variable {self.text[start:self.pos]!r} in this ring", start)
+                if index is None:
+                    e += self.exponent()
+                    if e >= spec.K:
+                        self.error(f"degree {e} in t is at least K={spec.K}", start)
+                else:
+                    alpha[index - 1] += self.exponent()
+                    if sum(alpha) >= spec.Dt:
+                        self.error(f"degree {sum(alpha)} in t1..t{spec.m} is at least "
+                                   f"Dt={spec.Dt}", start)
+            elif self.peek() == "(" and spec.kind == NESTED:
+                self.pos += 1
+                parts.append(self.coefficient(ring))
+                if self.peek() != ")":
+                    self.error("expected ')'")
+                self.pos += 1
+            else:
+                what = ("an integer, a variable or '('" if ring is not spec
+                        else "an integer or a variable")
+                self.error(f"expected {what}" if self.peek() else "unexpected end of text")
+            self.skip_ws()
+            if self.peek() != "*":
+                break
+            self.pos += 1
+        c = Coefficient.make(ring, [0] * e + [n]) if e else Coefficient.from_int(ring, n)
+        for part in parts:
+            c = c * part
+        return Coefficient.make(spec, {tuple(alpha): c}) if spec.kind == NESTED else c
 
-def _split_top(s: str, seps: str) -> list[str]:
-    """Split on separators at paren depth 0, keeping separators as items."""
-    out, depth, cur = [], 0, ""
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError("unbalanced parentheses")
-        if depth == 0 and ch in seps:
-            out.append(cur)
-            out.append(ch)
-            cur = ""
-        else:
-            cur += ch
-    if depth:
-        raise ValueError("unbalanced parentheses")
-    out.append(cur)
-    return out
-
-
-_NESTED_VAR = re.compile(r"^t(\d+)(?:\^(\d+))?$")
-
-
-def _parse_nested_term(spec: RingSpec, term: str, sign: int) -> Coefficient:
-    pieces = [q for q in _split_top(term, "*") if q not in ("*",)]
-    pieces = [q.strip() for q in pieces if q.strip()]
-    if not pieces:
-        raise ValueError("empty nested term")
-    alpha = [0] * spec.m
-    coeff = None
-    for q in pieces:
-        mvar = _NESTED_VAR.match(q)
-        if mvar:
-            idx = int(mvar.group(1))
-            if not 1 <= idx <= spec.m:
-                raise ValueError(f"variable t{idx} outside 1..{spec.m}")
-            alpha[idx - 1] += int(mvar.group(2)) if mvar.group(2) else 1
-            continue
-        if q.startswith("(") and q.endswith(")"):
-            inner = q[1:-1]
-        else:
-            inner = q
-        part = parse_coefficient(spec.base, inner)
-        coeff = part if coeff is None else coeff * part
-    if coeff is None:
-        coeff = Coefficient.one(spec.base)
-    if sign < 0:
-        coeff = -coeff
-    if sum(alpha) >= spec.Dt:
-        raise ValueError(f"term t-degree {sum(alpha)} outside truncation Dt={spec.Dt}")
-    return Coefficient.make(spec, {tuple(alpha): coeff})
+    def exponent(self) -> int:
+        """The optional '^' integer after a variable; 1 when absent."""
+        self.skip_ws()
+        if self.peek() != "^":
+            return 1
+        self.pos += 1
+        self.skip_ws()
+        if self.peek() == "-":
+            self.error("negative exponent")
+        return self.integer()
 
 
 def parse_coefficient(spec: RingSpec, text: str) -> Coefficient:
-    """Parse the canonical coefficient grammar (tolerant about whitespace)."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty coefficient string")
-    if spec.kind == P_ADIC:
-        try:
-            return Coefficient.from_int(spec, int(s))
-        except ValueError:
-            raise ValueError(f"bad p-adic integer {text!r}") from None
-    if spec.kind == EQ_CHAR:
-        return _parse_eqchar(spec, s)
-    chunks = _split_top(s, "+-")
-    acc = Coefficient.zero(spec)
-    carry = 1
-    first = chunks[0].strip()
-    if first:
-        acc = acc + _parse_nested_term(spec, first, 1)
-    for sep, text in zip(chunks[1::2], chunks[2::2]):
-        carry *= -1 if sep == "-" else 1
-        text = text.strip()
-        if not text:
-            continue
-        acc = acc + _parse_nested_term(spec, text, carry)
-        carry = 1
-    if carry != 1 or (len(chunks) > 1 and not chunks[-1].strip()):
-        raise ValueError(f"dangling sign in {s!r}")
-    return acc
+    """Parse coefficient text; a ValueError names where the first error is."""
+    parser = _CoefficientParser(text)
+    c = parser.coefficient(spec)
+    if parser.pos < len(text):
+        parser.error(f"unexpected character {text[parser.pos]!r}")
+    return c

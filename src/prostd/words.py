@@ -29,6 +29,7 @@ from types import SimpleNamespace
 
 from .errors import WordSyntaxError
 from .fgl import FormalGroupLaw
+from .rings import _Cursor
 from .series import SeriesTuple, compose
 from .stdgrp import QuotientGroup, _enumeration_guard, _payload, default_bound
 
@@ -105,37 +106,21 @@ class WordExpr:
         return " ".join(out)
 
 
-class _Parser:
+class _Parser(_Cursor):
+    blanks = " \t*·"
+
     def __init__(self, text: str, bound: int):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.bound = bound
 
-    def error(self, message: str):
-        raise WordSyntaxError(message, self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t*·":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def integer(self) -> int:
-        start = self.pos
-        if self.peek() == "-":
-            self.pos += 1
-        while self.peek().isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.error("expected an integer")
-        return int(self.text[start:self.pos])
+    def error(self, message: str, pos: int | None = None):
+        raise WordSyntaxError(message, self.pos if pos is None else pos)
 
     def atom(self):
         ch = self.peek()
         if ch == "x":
             self.pos += 1
-            if not self.peek().isdigit():
+            if not self.at_digit():
                 self.error("expected a generator index after 'x'")
             idx = self.integer()
             if idx < 1:

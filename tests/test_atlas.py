@@ -177,6 +177,15 @@ def test_check_accepts_non_split_and_sample_data():
             extension_from_json(obj).check()
 
 
+def test_check_proves_inverses():
+    # an inverse correction enters no product, so only the inverse check on
+    # the (t, X) block can refuse it
+    data = inversion_extension(StandardGroup(builtin("multiplicative", padic(3, 3), 4), 1))
+    wrong = TransversalData(L=data.L, T=data.T, C=dict(data.C), A={("inv", "s"): data.C["s"]})
+    with pytest.raises(ExtensionDataError, match=r"^inverse fails at s$"):
+        wrong.check()
+
+
 @pytest.mark.parametrize("data", list(corrected_extensions()),
                          ids=lambda d: d.L.law.spec.kind)
 def test_check_refuses_the_corrected_fixtures(data):

@@ -1,9 +1,11 @@
 import math
 import random
+import re
 
 import pytest
 
-from oracles import poly_add, poly_mul, poly_truncate
+from oracles import poly_add, poly_mul, poly_truncate, reference_parse_coefficient
+from prostd.cli import _sample_objects
 from prostd.errors import (
     EnumerationBoundError,
     MaximalIdealError,
@@ -242,15 +244,119 @@ def test_format_parse_roundtrip_random():
             assert parse_coefficient(spec, str(c)) == c
 
 
+_PA, _EQ = padic(2, 3), eqchar(2, 3)
+_NP, _NE = nested(padic(2, 3), 1, 2), nested(eqchar(3, 3), 1, 3)
+
+
+_REFUSALS = [
+    # refusals of outside input that the grammar keeps
+    (_EQ, "t^3", r"degree 3 in t is at least K=3 \(at position 0\)"),
+    (_EQ, "1 + t*t*t", r"degree 3 in t .* \(at position 8\)"),
+    (_NE, "t^2*t", r"degree 3 in t .* \(at position 4\)"),
+    (_NP, "t1*t1", r"degree 2 in t1..t1 is at least Dt=2 \(at position 3\)"),
+    (_PA, "t", r"no variable 't' in this ring \(at position 0\)"),
+    (_EQ, "2 + t1", r"no variable 't1' .* \(at position 4\)"),
+    (_NP, "t", r"no variable 't' .* \(at position 0\)"),
+    (_NP, "t2", r"no variable 't2' .* \(at position 0\)"),
+    (_NE, "(t1)", r"no variable 't1' .* \(at position 1\)"),
+    (_EQ, "x", r"expected an integer or a variable \(at position 0\)"),
+    (_EQ, "t^-1", r"negative exponent \(at position 2\)"),
+    (_NP, "t1^", r"expected an integer \(at position 3\)"),
+    (_PA, "", r"unexpected end of text \(at position 0\)"),
+    (_EQ, "  ", r"unexpected end of text \(at position 2\)"),
+    (_NP, "1 +", r"unexpected end of text \(at position 3\)"),
+    (_EQ, "-", r"unexpected end of text \(at position 1\)"),
+    (_NE, "(1 + t", r"expected '\)' \(at position 6\)"),
+    (_NE, "1)", r"unexpected character '\)' \(at position 1\)"),
+    (_NE, "(1)(2)", r"unexpected character '\(' \(at position 3\)"),
+    (_PA, "(1)", r"expected an integer or a variable \(at position 0\)"),
+    # accepted by the former parsers, refused by the one grammar
+    (_EQ, "*t", r"expected an integer or a variable \(at position 0\)"),
+    (_EQ, "1 2", r"unexpected character '2' \(at position 2\)"),
+    (_NE, "(1 2)*t1", r"expected '\)' \(at position 3\)"),
+    (_PA, "1_000", r"unexpected character '_' \(at position 1\)"),
+    (_PA, "١٢", r"expected an integer or a variable \(at position 0\)"),
+    (_NP, "t١", r"no variable 't' .* \(at position 0\)"),
+    (_PA, "5\xa0", r"unexpected character '\\xa0' \(at position 1\)"),
+    (_NP, "t1*", r"unexpected end of text \(at position 3\)"),
+    (_NP, "*t1", r"expected an integer, a variable or '\(' \(at position 0\)"),
+    (_NP, "2*-t1", r"expected an integer, a variable or '\(' \(at position 2\)"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_coefficient(padic(2, 3), "t")
-    with pytest.raises(ValueError):
-        parse_coefficient(eqchar(2, 3), "x")
-    with pytest.raises(ValueError):
-        parse_coefficient(nested(padic(2, 3), 1, 2), "t2")  # only t1 exists
-    with pytest.raises(ValueError):
-        parse_coefficient(nested(padic(2, 3), 1, 2), "1 +")
+    for spec, text, message in _REFUSALS:
+        with pytest.raises(ValueError, match=message):
+            parse_coefficient(spec, text)
+
+
+def _series_terms(obj):
+    """Every coefficient string of the series in a JSON object."""
+    if isinstance(obj, dict):
+        if "terms" in obj:
+            yield from (text for _, text in obj["terms"])
+        else:
+            for v in obj.values():
+                yield from _series_terms(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _series_terms(v)
+
+
+def _ring_of(obj):
+    if isinstance(obj, dict):
+        if "spec" in obj:
+            return RingSpec.from_json(obj["spec"])
+        return next(filter(None, map(_ring_of, obj.values())), None)
+    return None
+
+
+_TEXTS = [  # coefficient strings written by the tests and the benchmark plan
+    (padic(2, 5), "2"), (padic(2, 5), "8"), (eqchar(3, 3), "2+1*t^2"),
+    (eqchar(3, 4), "1+2*t+t^3"), (eqchar(3, 4), "1+t"), (eqchar(3, 4), "t"),
+    (eqchar(3, 4), "t^2"), (eqchar(3, 4), "t + t^2"), (nested(padic(3, 3), 1, 3), "1 + t1"),
+    (nested(padic(3, 3), 1, 3), "2 + 1*t1^2"), (nested(padic(2, 4), 2, 3), "2*t1 + t2^2"),
+    (nested(padic(2, 4), 2, 3), "2 + 1*t1 + 1*t1*t2 + 4*t2"),
+    (nested(eqchar(2, 4), 2, 3), "(1+t) + (t^3)*t1 + (1+t^2)*t1*t2 + t2"),
+]
+
+
+def _corpus():
+    rng = random.Random(21)
+    for spec in SPECS:
+        for c in sample(spec, rng, 25):
+            yield spec, str(c)
+    for obj in _sample_objects().values():
+        spec = _ring_of(obj)
+        for text in _series_terms(obj):
+            yield spec, text
+    yield from _TEXTS
+
+
+def _variants(text):
+    """Texts of the same value: blanks between tokens, sign runs, '*' left
+    out before variables."""
+    spaced = re.sub(r"([-+*^()])", r" \1 ", text)
+    return [text, spaced, "\t" + spaced.replace(" ", " \t") + " \n", text.replace(" ", ""),
+            re.sub(r"(?<![\dt^])(\d+)\*t", r"\1t", text), "- -" + text, "+" + text,
+            text.replace("+", "- -"), text.replace("+", "+-+-")]
+
+
+def test_parse_matches_the_former_parsers():
+    # the former parsers read every corpus text; the one grammar reads each
+    # variant to the same value, and agrees wherever the former ones accept
+    agreed = 0
+    for spec, text in _corpus():
+        value = reference_parse_coefficient(spec, text)
+        for v in _variants(text):
+            assert parse_coefficient(spec, v) == value, (spec, v)
+            try:
+                former = reference_parse_coefficient(spec, v)
+            except ValueError:
+                continue
+            assert former == value, (spec, v)
+            agreed += 1
+    assert agreed > 500
 
 
 # -- specialisation and transport maps ------------------------------------------

@@ -287,3 +287,25 @@ def test_one_route_rule():
                            ("_Enumeration.evaluator", "word_series")}, sorted(route_names)
     package = pathlib.Path(prostd.__file__).resolve().parent
     assert "sum(map(" not in (package / "words.py").read_text(encoding="utf-8")
+
+
+def test_one_coefficient_grammar():
+    # coefficient text of every ring shape is read by one recursive-descent
+    # parser, on the cursor that the word parser shares; a regex or a
+    # split-and-recurse helper would be a second grammar
+    sources = dict(_sources())
+    rings, words = sources["rings.py"], sources["words.py"]
+    imported = {alias.name for node in ast.walk(rings) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(rings) if isinstance(node, ast.ImportFrom)}
+    assert "re" not in imported, sorted(imported)
+    classes = {node.name: node for tree in (rings, words) for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    defined = {node.name for node in ast.walk(rings)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"_split_top", "_parse_eqchar", "_parse_nested_term"}, sorted(defined)
+    for name in ("_CoefficientParser", "_Parser"):
+        parser = classes[name]
+        assert [base.id for base in parser.bases] == ["_Cursor"], name
+        methods = {f.name for f in parser.body if isinstance(f, ast.FunctionDef)}
+        assert not methods & {"peek", "skip_ws", "integer"}, (name, sorted(methods))

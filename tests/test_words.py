@@ -57,6 +57,11 @@ def test_parse_errors_carry_positions():
         parse_word("  ")
     with pytest.raises(WordSyntaxError, match="integer"):
         parse_word("x1^")
+    # indices and exponents are ASCII digits; others are refused where they stand
+    for text, position in [("x²", 1), ("x١", 1), ("x1^٢", 3)]:
+        with pytest.raises(WordSyntaxError) as ei:
+            parse_word(text)
+        assert ei.value.position == position
 
 
 def test_word_size_is_bounded(monkeypatch):
