@@ -122,6 +122,8 @@ class TransversalData:
         # identity charts are marked once, here: products skip cosets not in charts
         ident = _identity_series(spec, d, D)
         object.__setattr__(self, "charts", {t: S for t, S in self.C.items() if S != ident})
+        # set by check() once the group axioms are proven
+        object.__setattr__(self, "proven", False)
 
     @property
     def split(self) -> bool:
@@ -182,10 +184,18 @@ class TransversalData:
             limit=1, elements=[(t, blocks[0]) for t in self.T.elements])
         if failures:
             raise ExtensionDataError(failures[0])
+        object.__setattr__(self, "proven", True)
         return self
 
     def map_coefficients(self, phi) -> TransversalData:
-        """Transport the whole chart along a coefficient map, then revalidate."""
+        """Transport the whole chart along a coefficient map.
+
+        Proven data (``check()`` passed) come back proven, with no re-check,
+        when phi is a ring homomorphism of the truncated rings and D*N is at
+        least the target's zero valuation: the homomorphism keeps the proven
+        series identities, and every term the truncation at D dropped has
+        valuation >= D*N on level-N points, so it vanishes at full precision.
+        Any other result is revalidated on 32 samples at full precision."""
         law = self.L.law.map_coefficients(phi)
         data = TransversalData(
             L=StandardGroup(law, self.L.N),
@@ -193,6 +203,10 @@ class TransversalData:
             C={t: S.map_coefficients(phi) for t, S in self.C.items()},
             A={k: S.map_coefficients(phi) for k, S in self.A.items()},
         )
+        if self.proven and getattr(phi, "homomorphism", False) and \
+                law.D * self.L.N >= phi.target.zero_valuation:
+            object.__setattr__(data, "proven", True)
+            return data
         report = validate_transversal(data, samples=32, seed=7)
         if not report.ok:
             raise ExtensionDataError(f"transported data fails validation: {report.failures[0]}")

@@ -135,7 +135,10 @@ class FormalGroupLaw:
     def map_coefficients(self, phi) -> FormalGroupLaw:
         """Transport the law (and its cached inverse) along a coefficient map.
 
-        A local homomorphism sends a law to a law; this re-verifies anyway.
+        Only a ring homomorphism of the truncated rings is sure to send a
+        law to a law (``phi.homomorphism``: always for identity maps and
+        precision reductions, for a specialisation when Dt * min v(a_i) >= K),
+        so the transported F is re-verified on every map.
         """
         F2 = self.F.map_coefficients(phi)
         I2 = self.I.map_coefficients(phi)

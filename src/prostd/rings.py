@@ -500,20 +500,27 @@ def evaluate_terms(spec: RingSpec, terms, args, powers: dict) -> Coefficient:
 
 
 # --------------------------------------------------------------------------
-# coefficient maps (local homomorphisms usable for series transport)
+# coefficient maps (local maps usable for series transport)
 
 
 class CoefficientMap:
-    """A ring homomorphism with phi(m) inside the target maximal ideal."""
+    """A coefficient map with phi(m) inside the target maximal ideal.
+
+    ``homomorphism`` says whether phi is a ring homomorphism of the truncated
+    rings; each map decides it once, when it is built.  A map that does not
+    say so is not trusted to send a series identity to one."""
 
     source: RingSpec
     target: RingSpec
+    homomorphism: bool = False
 
     def __call__(self, c: Coefficient) -> Coefficient:  # pragma: no cover
         raise NotImplementedError
 
 
 class IdentityMap(CoefficientMap):
+    homomorphism = True
+
     def __init__(self, spec: RingSpec):
         self.source = spec
         self.target = spec
@@ -525,7 +532,10 @@ class IdentityMap(CoefficientMap):
 
 
 class PrecisionReduction(CoefficientMap):
-    """Lower the precision K (and, for nested rings, optionally Dt)."""
+    """Lower the precision K (and, for nested rings, optionally Dt): a
+    quotient map, so always a ring homomorphism."""
+
+    homomorphism = True
 
     def __init__(self, spec: RingSpec, new_K: int, new_Dt: int | None = None):
         if not 1 <= new_K <= spec.K:
@@ -556,8 +566,14 @@ class PrecisionReduction(CoefficientMap):
 
 
 class Specialisation(CoefficientMap):
-    """The homomorphism s_a : P[[t1..tm]] -> P evaluating ti at a_i; the
-    point is parsed and checked here, once, and never again per call."""
+    """The map s_a : P[[t1..tm]] -> P evaluating ti at a_i; the point is
+    parsed and checked here, once, and never again per call.
+
+    The source drops every monomial of t-degree >= Dt, and s_a respects
+    that when it kills them too: ``homomorphism`` is Dt * min v(a_i) >= K
+    (the zero point qualifies).  For Dt >= 2 nothing weaker will do: on
+    nested(padic(5, 4), 1, 2) at a = 5, t1 * t1 = 0 maps to 0 but
+    5 * 5 = 25."""
 
     def __init__(self, spec: RingSpec, point):
         if spec.kind != NESTED:
@@ -571,13 +587,16 @@ class Specialisation(CoefficientMap):
             pt.append(q)
         if len(pt) != spec.m:
             raise ShapeError(f"expected {spec.m} point coordinates, got {len(pt)}")
+        low = math.inf
         for q in pt:
             if q.spec != spec.base:
                 raise RingMismatchError("specialisation point must live in the base ring")
-            if q.valuation() < 1:
+            low = min(low, q.valuation())
+            if low < 1:
                 raise MaximalIdealError("specialisation point outside the maximal ideal")
         self.source = spec
         self.target = spec.base
+        self.homomorphism = spec.Dt * low >= spec.K
         self.point = tuple(pt)
         self._payloads = tuple(q.payload for q in pt)
 

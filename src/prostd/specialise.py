@@ -4,11 +4,14 @@ transport coherence.
 A nested coefficient c in P[[t1..tm]] can be evaluated at any point a of
 (m_P)^m by the map s_a (``rings.Specialisation``, re-exported here); doing
 this coefficient-wise turns series, laws and whole chart atlases over the
-nested ring into ones over P.  Vanishing of c at every point of a finite
-grid is weaker than c = 0 at truncated precision (p*t1 over Z/4 vanishes at
-both 0 and 2), so zero certificates are only issued for exact polynomial
-lifts through `kernel_grid_test`; grid vanishing of truncated data is
-reported as advisory.
+nested ring into ones over P.  The map s_a is a ring homomorphism of the
+truncated rings when Dt * min v(a_i) >= K, and for Dt >= 2 only then;
+elsewhere it does not respect the truncation at Dt, and transported data
+are re-checked.  Vanishing of c at every point of a finite grid is weaker
+than c = 0 at truncated precision (p*t1 over Z/4 vanishes at both 0 and
+2), so zero certificates are only issued for exact polynomial lifts
+through `kernel_grid_test`; grid vanishing of truncated data is reported
+as advisory.
 
 `concision_probe` searches for the least l with w^l trivial on a
 transversal extension: at each level it runs the marginality check, records
@@ -319,7 +322,12 @@ def transport_coherence(w: WordExpr, data: TransversalData, grid,
                         bound: int | None = None) -> list[CoherenceCheck]:
     """Per grid point, compare specialising the marginality constants with
     transporting the whole atlas first and rerunning the check; the two
-    routes must agree exactly."""
+    routes must agree exactly.
+
+    Transport keeps proven data proven with no re-check at points where s_a
+    is a ring homomorphism and D*N reaches the zero valuation of P; other
+    points and unproven data are revalidated
+    (``TransversalData.map_coefficients``)."""
     spec = data.L.law.spec
     base_rep = check_marginality(w, data, bound)
     if not base_rep.all_constant:

@@ -31,7 +31,7 @@ from prostd.errors import EnumerationBoundError, ExtensionDataError, MaximalIdea
 from prostd.fgl import builtin
 from prostd.rings import Coefficient, eqchar, padic, random_ideal_element
 from prostd.series import Series, SeriesTuple, compose
-from prostd.specialise import Specialisation
+from prostd.specialise import Specialisation, ideal_grid
 from prostd.rings import PrecisionReduction, nested
 from prostd.stdgrp import StandardGroup
 from prostd.words import _Enumeration, parse_word, word_series
@@ -743,6 +743,55 @@ def test_map_coefficients_transport():
     assert at0.C == base.C
     low = data.map_coefficients(PrecisionReduction(spec, 2, 2))
     assert low.L.law.spec == nested(padic(2, 2), 1, 2)
+
+
+def test_proven_transport_stays_a_group(monkeypatch):
+    # transport along a homomorphism with D*N at least the target's zero
+    # valuation keeps the proof: no sampled re-check, and check() agrees
+    calls = _counting(monkeypatch, atlas, "validate_transversal")
+    for name in ("inversion_p2.json", "inversion_p3.json", "dirprod.json"):
+        data = extension_from_json(_sample_objects()[name])
+        assert not data.proven and data.check().proven
+        spec = data.L.law.spec
+        maps = [Specialisation(spec, pt) for depth in (2, 3) for pt in ideal_grid(spec, depth)]
+        maps.append(PrecisionReduction(spec, spec.K - 1, spec.Dt - 1))
+        for phi in maps:
+            out = data.map_coefficients(phi)
+            assert out.proven and out.L.law.spec == phi.target
+            assert out.check() is out
+    assert calls == []
+
+
+def test_transport_route(monkeypatch):
+    # a map that is no homomorphism, a truncation visible at full precision
+    # and unproven data each take the sampled re-check once per transport
+    calls = _counting(monkeypatch, atlas, "validate_transversal")
+    spec = nested(eqchar(2, 3), 1, 3)
+    data = inversion_extension(StandardGroup(builtin("additive", spec, 4), 1))
+    unproven = TransversalData(L=data.L, T=data.T, C=dict(data.C))
+    assert not unproven.proven
+    out = unproven.map_coefficients(Specialisation(spec, ("t",)))
+    assert len(calls) == 1 and not out.proven
+
+    spec = nested(padic(2, 6), 1, 4)
+    data = inversion_extension(StandardGroup(builtin("additive", spec, 4), 1))
+    for point, homomorphism in (("2", False), ("4", True)):  # Dt*v: 4 < 6 <= 8
+        calls.clear()
+        phi = Specialisation(spec, (point,))
+        assert phi.homomorphism is homomorphism
+        # D*N = 4 < 6, the zero valuation of Z/2^6
+        assert not data.map_coefficients(phi).proven and len(calls) == 1
+
+
+def test_visible_truncation_fails_transport():
+    # proven at D = 4, but on level-1 points the terms cut at degree 4 have
+    # valuation 4 and up, below the ring's zero valuation 7: the re-check
+    # catches the cut inverse, so the proof must not be kept
+    spec = nested(padic(2, 4), 1, 4)
+    data = inversion_extension(StandardGroup(builtin("multiplicative", spec, 4), 1))
+    assert data.proven
+    with pytest.raises(ExtensionDataError, match="transported data fails validation"):
+        data.map_coefficients(PrecisionReduction(spec, 4, 4))
 
 
 def test_extension_json_roundtrip():

@@ -15,6 +15,7 @@ from prostd.rings import (
     Coefficient,
     PrecisionReduction,
     RingSpec,
+    Specialisation,
     bounded_exponents,
     eqchar,
     evaluate_terms,
@@ -378,6 +379,19 @@ def test_specialise_is_local_homomorphism():
         assert specialise(a * b, point) == sa * sb
     high = random_ideal_element(spec, 1, rng)
     assert specialise(high, (pts[1], pts[2])).valuation() >= 1
+
+
+def test_specialisation_below_the_truncation_is_no_homomorphism():
+    # Dt * v(a) = 2 < K = 4: t1 * t1 = 0 at Dt = 2, but t1 maps to 5, whose
+    # square is 25; the map says so, and transport re-checks along it
+    spec = nested(padic(5, 4), 1, 2)
+    s = Specialisation(spec, ["5"])
+    t1 = parse_coefficient(spec, "t1")
+    assert (t1 * t1).is_zero and s(t1 * t1).is_zero
+    assert s(t1) * s(t1) == Coefficient.from_int(spec.base, 25)
+    assert s.homomorphism is False
+    assert Specialisation(spec, ["25"]).homomorphism  # 2 * v(25) = 4
+    assert Specialisation(spec, ["0"]).homomorphism  # v(0) = +inf
 
 
 def test_specialise_point_validation():

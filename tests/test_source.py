@@ -309,3 +309,29 @@ def test_one_coefficient_grammar():
         assert [base.id for base in parser.bases] == ["_Cursor"], name
         methods = {f.name for f in parser.body if isinstance(f, ast.FunctionDef)}
         assert not methods & {"peek", "skip_ws", "integer"}, (name, sorted(methods))
+
+
+def test_homomorphism_decided_only_by_the_maps():
+    # whether a coefficient map is a ring homomorphism is decided in rings.py,
+    # once per map; transport reads the map's answer and tells no map classes
+    # apart, so a second copy of the condition cannot drift from the first
+    sources = dict(_sources())
+    setters = {(name, owner) for name, tree in sources.items()
+               for owner, node in _calls(tree, (ast.Assign, ast.AnnAssign))
+               for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+               if getattr(target, "attr", getattr(target, "id", None)) == "homomorphism"}
+    assert setters and {name for name, _ in setters} == {"rings.py"}, sorted(setters)
+    atlas = sources["atlas.py"]
+    readers = {owner for owner, node in _calls(atlas)
+               if _callee(node) == "getattr" and len(node.args) >= 2
+               and isinstance(node.args[1], ast.Constant) and node.args[1].value == "homomorphism"}
+    readers |= {owner for owner, node in _calls(atlas, ast.Attribute)
+                if node.attr == "homomorphism"}
+    assert readers == {"TransversalData.map_coefficients"}, sorted(readers)
+    maps = {"CoefficientMap", "IdentityMap", "PrecisionReduction", "Specialisation"}
+    named = {node.id for node in ast.walk(atlas) if isinstance(node, ast.Name)}
+    named |= {alias.name for node in ast.walk(atlas) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert not named & maps, sorted(named & maps)
+    assert "isinstance" not in {_callee(node) for owner, node in _calls(atlas)
+                                if owner == "TransversalData.map_coefficients"}

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import prostd
+from prostd import atlas
 from prostd.atlas import cyclic_table, direct_product, inversion_extension
 from prostd.errors import (
     EnumerationBoundError,
@@ -307,7 +308,13 @@ def test_probe_guards():
 # -- coherence ----------------------------------------------------------------------------------
 
 
-def test_transport_coherence_agrees():
+def test_transport_coherence_agrees(monkeypatch):
+    # every grid point is a homomorphism (Dt = K) and D*N = 4 >= 3, so the
+    # proven data are transported with no sampled re-check
+    revalidated = []
+    real = atlas.validate_transversal
+    monkeypatch.setattr(atlas, "validate_transversal",
+                        lambda *a, **k: revalidated.append(a) or real(*a, **k))
     spec = nested(eqchar(2, 3), 1, 3)
     data = inversion_extension(StandardGroup(builtin("additive", spec, 4), 1))
     grid = ideal_grid(spec, 3)
@@ -315,6 +322,7 @@ def test_transport_coherence_agrees():
     assert len(checks) == 4
     assert all(c.ok for c in checks)
     assert [c.index for c in checks] == [0, 1, 2, 3]
+    assert revalidated == []
 
 
 def test_transport_coherence_needs_marginal_word():
