@@ -5,6 +5,9 @@ on the law's compiled kernels (``SeriesTuple.kernel``) on payloads, at full
 precision here and mod m^M on a finite quotient; the conjugation series is
 built symbolically.  Finite quotients modulo m^M are enumerated on canonical
 coset representatives, with a size guard.
+
+``power`` and ``WordExpr.evaluate`` convert arguments once (``_word_hook``),
+multiply payloads or enumeration indices, and build one element at the end.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 from .errors import EnumerationBoundError, ExactnessError, LawError, MaximalIdealError
 from .fgl import FormalGroupLaw, _exact_polynomials
@@ -116,25 +120,38 @@ class StandardGroup:
     def inv(self, x: GroupElement) -> GroupElement:
         return self._at_level(self._I(*map(_payload, x.coords)))
 
+    def _level(self, payloads):  # the payloads, refused below level N
+        reduce, zero = self.law.spec.ops.reduce, self.law.spec.ops.zero
+        for v in payloads:
+            if reduce(v, self.N) != zero:
+                raise MaximalIdealError(f"group operation left level N={self.N}")
+        return payloads
+
     def _at_level(self, payloads) -> GroupElement:
         spec = self.law.spec
-        reduce, zero = spec.ops.reduce, spec.ops.zero
-        for v in payloads:
-            if reduce(v, self.N) != zero:  # valuation below N
-                raise MaximalIdealError(f"group operation left level N={self.N}")
-        return GroupElement(self, tuple([Coefficient(spec, v) for v in payloads]))
+        return GroupElement(self, tuple([Coefficient(spec, v) for v in self._level(payloads)]))
+
+    @cached_property
+    def _word_hook(self):
+        """(ops, encode, decode) on payload tuples.  F and I have no constant
+        term, so checking each argument raises where checking products would."""
+        F, I, level = self._F, self._I, self._level
+        ops = SimpleNamespace(identity=(self.law.spec.ops.zero,) * self.d,
+                              mul=lambda x, y: F(*x, *y), inv=lambda x: I(*x))
+        return ops, lambda x: level(tuple(map(_payload, x.coords))), self._at_level
 
     def power(self, x: GroupElement, n: int) -> GroupElement:
+        ops, encode, decode = self._word_hook
+        acc = e = ops.identity
+        base = encode(x) if n else e  # x^0, like a word, reads no unused argument
         if n < 0:
-            return self.power(self.inv(x), -n)
-        acc = e = self.identity
-        base = x
+            base, n = ops.inv(base), -n
         while n and base != e:  # once base is the identity, so is every later factor
             if n & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
+                acc = ops.mul(acc, base)
+            base = ops.mul(base, base)
             n >>= 1
-        return acc
+        return decode(acc)
 
     def conj_series(self, g: GroupElement) -> SeriesTuple:
         """The series C_g with C_g(coords of x) = coords of g^-1 x g.
@@ -210,3 +227,8 @@ class QuotientGroup:
 
     def inv(self, x):
         return self._element(self._I(*map(_payload, x)))
+
+    @property
+    def _word_hook(self):  # on the indices of the cached enumeration
+        from .words import _view  # words builds on this module
+        return _view(self).hook

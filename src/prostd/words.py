@@ -11,12 +11,17 @@ reduced; the generator count k is the highest index mentioned in the text,
 even when that generator cancels away.  Expansion is eager, so the letter
 count before reduction is held to the enumeration bound.
 
+Evaluation is one left fold of the letters; on a ``StandardGroup`` or a
+``QuotientGroup`` it folds payloads or enumeration indices (``_word_hook``),
+converting each argument used once and building only the result.
+
 Images, verbal and marginal subgroups of a finite handle run on one indexed
 enumeration of its elements, cached on the handle.  One rule,
 ``_Enumeration.evaluator``, routes each word: it counts the products of the
 n^2 table, of a quotient's word series W mod m^M and of the letter fold, and
 takes the least.  One doubling closure, ``_Enumeration.closure``, generates
 verbal subgroups and the generating set of Light's associativity test.
+Elements are built, and hashed, only when a result set is lifted.
 """
 
 from __future__ import annotations
@@ -75,10 +80,23 @@ class WordExpr:
         return WordExpr(self.k, _reduce(self.letters * n))
 
     def evaluate(self, group, args):
-        """Left fold of the word over any group exposing identity/mul/inv."""
+        """Left fold of the word over any group exposing identity/mul/inv, or
+        over the ops of its ``_word_hook`` (ops, encode, decode): arguments
+        in used slots are encoded once, the result decoded once."""
         if len(args) < self.k:
             raise ValueError(f"word mentions x{self.k} but only {len(args)} arguments given")
-        acc = group.identity
+        if (hook := getattr(group, "_word_hook", None)) is None:
+            return self._fold(group, args)
+        ops, encode, decode = hook
+        return decode(self._fold(ops, [encode(a) if i in self._generators else None
+                                       for i, a in enumerate(args, 1)]))
+
+    @functools.cached_property
+    def _generators(self) -> frozenset:  # the generators the letters use
+        return frozenset(gen for gen, _ in self.letters)
+
+    def _fold(self, group, args):
+        acc, mul = group.identity, group.mul
         inverses = {}  # each argument is inverted at most once
         for gen, sign in self.letters:
             if sign > 0:
@@ -87,7 +105,7 @@ class WordExpr:
                 v = inverses[gen]
             else:
                 v = inverses[gen] = group.inv(args[gen - 1])
-            acc = group.mul(acc, v)
+            acc = mul(acc, v)
         return acc
 
     def text(self) -> str:
@@ -240,7 +258,8 @@ class _Enumeration:
     whose products run on its own ``mul``/``inv``.  Every product value (a
     payload tuple, or an element) is looked up in one dict of indices, whose
     failed lookup is the closure check.  ``tabulate`` swaps in the flat n^2
-    product table.
+    product table.  A quotient's enumeration keeps its last 16 compiled word
+    series, and ``hook``, whose encode reduces an argument by the product e·x.
     """
 
     def __init__(self, group):
@@ -269,7 +288,11 @@ class _Enumeration:
         self.identity = index_of(identity)
         self.mul = lambda a, b: index_of(mul(*keys[a], *keys[b]))
         self.inv = lambda a: index_of(inv(*keys[a]))
-        self.table = self._inverses = None
+        if quotient is not None:
+            self.hook = (self, lambda x: index_of(mul(*identity, *map(_payload, x))),
+                         members.__getitem__)
+        self.table = self._inverses = self._all = None
+        self._series = {}  # word -> compiled W mod m^M: the 16 last used, latest last
 
     def tabulate(self) -> _Enumeration:
         """Replace mul and inv by lookups in the flat n^2 table."""
@@ -297,10 +320,13 @@ class _Enumeration:
             costs["series"] = _COMPOSE_CALLS * (len(w.letters) + inverted) + n
         route = min(costs, key=costs.get)
         if route == "fold":
-            return functools.partial(w.evaluate, self)
+            return functools.partial(w._fold, self)
         if route == "series":
             keys, index_of = self.keys, self._index_of
-            W = word_series(w, Q.group.law).W.kernel(Q.M)
+            W = self._series[w] = (self._series.pop(w, None)
+                                   or word_series(w, Q.group.law).W.kernel(Q.M))
+            if len(self._series) > 16:
+                del self._series[next(iter(self._series))]
             return lambda args: index_of(W(*keys[args[0]]))
         table = self.table or self.tabulate().table
         inv, identity = self._inverses, self.identity
@@ -358,8 +384,17 @@ class _Enumeration:
                 return False
         return True
 
-    def lift(self, indices) -> set:
-        return set(map(self.members.__getitem__, indices))
+    def lift(self, indices: set) -> set:
+        """A fresh set of the members at these indices, hashing min(k, n - k)
+        members: most of them are a copy of all (stored hashes) less the rest."""
+        members, n = self.members, len(self.members)
+        if 2 * len(indices) > n:
+            self._all = self._all or frozenset(members)
+            if len(self._all) == n:  # distinct members: the complement is exact
+                out = set(self._all)
+                out -= set(map(members.__getitem__, indices.symmetric_difference(self.elements)))
+                return out
+        return set(map(members.__getitem__, indices))
 
 
 def _view(group) -> _Enumeration:
@@ -410,4 +445,4 @@ def marginal_subgroup(w: WordExpr, group, bound: int | None = None) -> set:
                     return False
         return True
 
-    return view.lift(g for g in view.elements if marginal(g))
+    return view.lift({g for g in view.elements if marginal(g)})

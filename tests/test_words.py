@@ -13,7 +13,7 @@ from prostd.errors import EnumerationBoundError, ExactnessError, MaximalIdealErr
 from prostd.fgl import builtin, law_from_json
 from prostd.rings import Coefficient, eqchar, nested, padic, random_ideal_element, representatives
 from prostd.series import Series, SeriesTuple
-from prostd.stdgrp import QuotientGroup, StandardGroup
+from prostd.stdgrp import GroupElement, QuotientGroup, StandardGroup
 from prostd.words import (
     WordExpr,
     marginal_subgroup,
@@ -380,7 +380,8 @@ def test_payload_view_keeps_the_closure_check(monkeypatch, route):
     for enumerate_ in (word_image, verbal_subgroup, marginal_subgroup):
         with pytest.raises(MaximalIdealError, match="not closed under mul and inv"):
             enumerate_(parse_word("x1^2"), hq)
-    assert len(series_calls) == (3 if route == "series" else 0)
+    # the enumeration keeps the compiled W, so three queries compose it once
+    assert len(series_calls) == (1 if route == "series" else 0)
     assert not _tabled(hq)
 
 
@@ -421,7 +422,7 @@ def test_series_beats_the_table_for_a_long_power(monkeypatch):
     assert word_image(w, hq) == image and len(image) == 64
     assert verbal_subgroup(w, hq) == verbal
     assert marginal_subgroup(w, hq) == marginal
-    assert len(series_calls) == 4 and not _tabled(hq)
+    assert len(series_calls) == 1 and not _tabled(hq)
 
 
 def test_negative_letters_count_their_inversions(monkeypatch):
@@ -451,6 +452,22 @@ def test_benchmark_query_routes(monkeypatch):
     for text in ["x1^2", "x1^-2", "x1^3", "x1^-3"]:
         assert _route(sparse, parse_word(text), 10**6, series_calls) == "series", text
     assert sparse.table is None
+
+
+def test_series_route_keeps_the_last_16_words(monkeypatch):
+    monkeypatch.setattr(words, "_COMPOSE_CALLS", 0)
+    series_calls = _count_series(monkeypatch)
+    view = words._view(heis_quotient(3))
+    powers = [parse_word(f"x1^{e}") for e in range(2, 19)]
+    for w in powers + [powers[-1], powers[1]]:
+        view.evaluator(w, 10**6)
+    assert len(series_calls) == 17
+    # x1^2 was dropped for the 17th word; x1^3 was used again, so x1^4 goes next
+    view.evaluator(powers[0], 10**6)
+    view.evaluator(powers[1], 10**6)
+    assert series_calls[-1] == powers[0] and len(series_calls) == 18
+    view.evaluator(powers[2], 10**6)
+    assert series_calls[-1] == powers[2] and len(series_calls) == 19
 
 
 def test_verbal_closure_makes_about_n_log_n_products():
@@ -518,11 +535,11 @@ def test_series_route_needs_M_at_most_DN(monkeypatch):
     assert word_image(w, at_DN) == image
     assert verbal_subgroup(w, at_DN) == verbal
     assert marginal_subgroup(w, at_DN) == marginal
-    assert len(series_calls) == 3
+    assert len(series_calls) == 1
     # an exact law builds above D*N, but W is exact only up to D*N: folded
     above = StandardGroup(builtin("heisenberg", padic(2, 5), 3), 1).quotient(4)
     assert _route(words._view(above), w, 10**6, series_calls) == "fold"
-    assert len(series_calls) == 3
+    assert len(series_calls) == 1
     # above D*N truncation is visible in this law, so its quotients are refused
     for M in (5, 6):
         with pytest.raises(ExactnessError, match=f"^quotient level M={M} exceeds D\\*N=4 "):
@@ -535,3 +552,119 @@ def test_series_route_needs_M_at_most_DN(monkeypatch):
     W = word_series(w, law).W.kernel(6)
     differ = sum(W(*a) != w.evaluate(fold, (a,)) for a in reps)
     assert differ == 162 and len(reps) == 243
+
+
+# -- evaluation on payloads and indices ----------------------------------------------
+
+
+def _letter_fold(w, group, args):
+    """w at args by the handle's own mul and inv, one product per letter."""
+    acc = group.identity
+    for gen, sign in w.letters:
+        x = args[gen - 1]
+        acc = group.mul(acc, x if sign > 0 else group.inv(x))
+    return acc
+
+
+STANDARD_GROUPS = {
+    "p-adic-additive": lambda: StandardGroup(builtin("additive", padic(3, 4), 4, dim=2), 1),
+    "p-adic-heisenberg": lambda: StandardGroup(builtin("heisenberg", padic(2, 5), 5), 1),
+    "eq-char-multiplicative": lambda: StandardGroup(builtin("multiplicative", eqchar(3, 4), 6), 1),
+    "nested-multiplicative": lambda: StandardGroup(
+        builtin("multiplicative", nested(padic(2, 6), 1, 4), 8), 1),
+    "nested-heisenberg": lambda: StandardGroup(
+        builtin("heisenberg", nested(eqchar(2, 3), 1, 3), 5), 1),
+}
+# the identity word, an inverse letter, a repeated generator, an unused slot (x2)
+HOOK_WORDS = ["x1^0", "x1^-1", "x1^3", "x1^-2 x2 x1", "[x1, x2] x1^-1", "x1 x3^-2 x1"]
+
+
+@pytest.mark.parametrize("name", STANDARD_GROUPS)
+def test_standard_group_evaluate_matches_the_letter_fold(name):
+    G, rng = STANDARD_GROUPS[name](), random.Random(23)
+    for text in HOOK_WORDS:
+        w = parse_word(text)
+        for _ in range(4):
+            args = [G.element([random_ideal_element(G.law.spec, 1, rng) for _ in range(G.d)])
+                    for _ in range(w.k)]
+            assert w.evaluate(G, args) == _letter_fold(w, G, args), text
+        if w.k == 1:
+            n = sum(sign for _, sign in w.letters)
+            assert G.power(args[0], n) == w.evaluate(G, args), text
+
+
+def _quotients():
+    """(name, quotient, whether its table is built)"""
+    out = []
+    for tabled in (False, True):
+        for name, make in [("heisenberg", lambda: heis_quotient(3)),
+                           ("eq-char", PAYLOAD_FIXTURES["eq-char"][0]),
+                           ("nested", PAYLOAD_FIXTURES["nested-small"][0])]:
+            hq = make()
+            if tabled:
+                words._view(hq).tabulate()
+            out.append((name, hq, tabled))
+    return out
+
+
+def test_quotient_evaluate_matches_the_letter_fold_and_the_oracle():
+    rng = random.Random(29)
+    oracle = HeisQuotient(2, 1, 3)
+    for name, hq, tabled in _quotients():
+        spec, M = hq.group.law.spec, hq.M
+        for text in HOOK_WORDS:
+            w = parse_word(text)
+            for _ in range(6):
+                args = [rng.choice(hq.elements) for _ in range(w.k)]
+                # congruent mod m^M, not canonical: reduced by the first product
+                shifted = [tuple(c + random_ideal_element(spec, M, rng) for c in x) for x in args]
+                want = _letter_fold(w, hq, args)
+                assert w.evaluate(hq, args) == want == w.evaluate(hq, shifted), (name, text)
+                assert _letter_fold(w, hq, shifted) == want
+                if name == "heisenberg":
+                    ints = [tuple(int(c) for c in x) for x in args]
+                    assert tuple(int(c) for c in want) == oracle.word_value(w.letters, ints)
+        assert (words._view(hq).table is not None) == tabled
+
+
+def test_evaluate_and_power_check_the_arguments_they_use():
+    G = StandardGroup(builtin("heisenberg", padic(2, 5), 5), 2)
+    spec = G.law.spec
+    # valuation 1 < N = 2; x^2 = (4, 0, 0) would pass a check of the products alone
+    low = GroupElement(G, (Coefficient.make(spec, 2),) + (Coefficient.zero(spec),) * 2)
+    x = G.element(["4", "8", "12"])
+    for call in (lambda: parse_word("x1^2").evaluate(G, [low]),
+                 lambda: parse_word("x2 x1^-1").evaluate(G, [low, x]),
+                 lambda: G.power(low, 2), lambda: G.power(low, -3)):
+        with pytest.raises(MaximalIdealError, match=r"^group operation left level N=2$"):
+            call()
+    # an unused slot is not read, as x1^0 does not read its argument
+    w = parse_word("x1 x3^-1")
+    assert w.evaluate(G, [x, low, x]) == G.identity == G.power(low, 0)
+    assert parse_word("x1 x3").evaluate(G, [x, low, x]) == x * x
+
+
+def test_quotient_evaluate_keeps_the_closure_check():
+    hq = heis_quotient(3)
+    x = hq.elements[1]
+    del hq._by_payload[tuple(c.payload for c in hq.mul(x, x))]
+    with pytest.raises(MaximalIdealError, match="not closed under mul and inv"):
+        parse_word("x1^2").evaluate(hq, [x])
+    assert not _tabled(hq)
+
+
+def test_lift_copies_or_hashes_the_smaller_side():
+    # x1^3 is onto the 4096-element quotient, x1^2 hits fewer than half of it
+    hq = heis_quotient(5)
+    view, n = words._view(hq), len(hq.elements)
+    for text, onto in (("x1^3", True), ("x1^2", False)):
+        w = parse_word(text)
+        indices = words._image(w, view, 10**6)
+        assert (2 * len(indices) > n) == onto
+        plain = set(map(view.members.__getitem__, indices))
+        got = word_image(w, hq)
+        assert got == plain and type(got) is set
+        got.clear()
+        assert word_image(w, hq) == plain
+    most = set(range(0, n, 3)) | set(range(1, n, 3))
+    assert view.lift(most) == set(map(view.members.__getitem__, most))
