@@ -11,7 +11,8 @@ of ``(flag, add_argument kwargs)`` specs, and each output shape (one group
 element, a list of elements) has one renderer.
 
 Laws are referenced either by a JSON file path or by a catalogue name
-(additive, multiplicative, heisenberg) together with ring flags.  JSON
+(additive, multiplicative, heisenberg) together with ring flags, which a
+law or group file refuses, as ``--group`` refuses ``--N``.  JSON
 output is canonical: sorted keys, two-space indent, graded-lex term order,
 trailing newline, so identical inputs give byte-identical bytes.
 
@@ -90,6 +91,26 @@ def _series_lines(prefix: str, T: SeriesTuple) -> list[str]:
 # shared loading helpers
 
 
+# the catalogue defaults; the flags default to None, so that one given where
+# it does not apply (beside a law or group file) is refused, not ignored
+_LAW_DEFAULTS = {"p": 2, "K": 4, "ring": "p-adic", "D": 4, "dim": 1, "m": None, "Dt": None}
+
+
+def _refuse(args, flags, beside: str) -> None:
+    given = ", ".join(f"--{flag}" for flag in flags if getattr(args, flag) is not None)
+    if given:
+        raise _Usage(f"{given} not allowed with {beside}")
+
+
+def _catalogue(args, ref: str) -> bool:
+    """Whether ``ref`` names a catalogue law, whose defaults it fills in."""
+    if ref not in BUILTIN_LAWS:
+        _refuse(args, _LAW_DEFAULTS, f"the law file {ref}")
+        return False
+    vars(args).update({k: v for k, v in _LAW_DEFAULTS.items() if getattr(args, k) is None})
+    return True
+
+
 def _spec_from_args(args) -> RingSpec:
     base = padic(args.p, args.K) if args.ring == "p-adic" else eqchar(args.p, args.K)
     if (args.m is None) != (args.Dt is None):
@@ -106,7 +127,7 @@ def _read_json(path: str) -> dict:
 
 
 def _load_law(args, ref: str):
-    if ref in BUILTIN_LAWS:
+    if _catalogue(args, ref):
         return builtin(ref, _spec_from_args(args), args.D, dim=args.dim)
     return law_from_json(_read_json(ref))
 
@@ -115,6 +136,7 @@ def _load_group(args) -> StandardGroup:
     if args.group and args.law:
         raise _Usage("give one of --group or --law, not both")
     if args.group:
+        _refuse(args, ("N", *_LAW_DEFAULTS), "--group")
         obj = _read_json(args.group)
         with _json_shape("group"):
             law_obj = obj["law"]
@@ -122,7 +144,7 @@ def _load_group(args) -> StandardGroup:
         with _json_shape("group"):
             return StandardGroup(law, obj["N"])
     if args.law:
-        return StandardGroup(_load_law(args, args.law), args.N)
+        return StandardGroup(_load_law(args, args.law), 1 if args.N is None else args.N)
     raise _Usage("one of --group or --law is required")
 
 
@@ -140,7 +162,7 @@ def _load_extension(args):
 
 
 def _law_series_from_ref(args, ref: str) -> SeriesTuple:
-    if ref in BUILTIN_LAWS:
+    if _catalogue(args, ref):
         return _load_law(args, ref).F
     return law_series_from_json(_read_json(ref))
 
@@ -371,11 +393,11 @@ _FORMAT = (("--format", {"choices": ("text", "json"), "default": "text"}),)
 _BOUND = (("--bound", _INT),)
 _LAW_REF = (("law_ref", {"metavar": "LAW"}),)
 _LAW_OPTS = (
-    ("--p", {"type": int, "default": 2}),
-    ("--K", {"type": int, "default": 4}),
-    ("--ring", {"choices": ("p-adic", "eq-char"), "default": "p-adic"}),
-    ("--D", {"type": int, "default": 4}),
-    ("--dim", {"type": int, "default": 1}),
+    ("--p", _INT),
+    ("--K", _INT),
+    ("--ring", {"choices": ("p-adic", "eq-char")}),
+    ("--D", _INT),
+    ("--dim", _INT),
     ("--m", _INT),
     ("--Dt", _INT),
 )
@@ -383,7 +405,7 @@ _LAW_HELP = "law JSON file or catalogue name"
 _GROUP_OPTS = (
     ("--group", {"help": "group JSON file"}),
     ("--law", {"help": _LAW_HELP}),
-    ("--N", {"type": int, "default": 1}),
+    ("--N", _INT),
 ) + _LAW_OPTS
 _X = (("--x", _REQUIRED),)
 _WORD = (("--word", _REQUIRED),)

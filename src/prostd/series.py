@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import MaximalIdealError, RingMismatchError, ShapeError, SubstitutionError
+from .errors import RingMismatchError, ShapeError, SubstitutionError
 from .rings import (
     P_ADIC,
     Coefficient,
@@ -40,10 +40,7 @@ def _check_point(spec: RingSpec, nvars: int, args) -> None:
     for a in args:
         if not isinstance(a, Coefficient):
             raise ShapeError(f"cannot evaluate at object of type {type(a).__name__}")
-        if a.spec != spec:
-            raise RingMismatchError("evaluation point in a different ring")
-        if a.valuation() < 1:
-            raise MaximalIdealError("evaluation point outside the maximal ideal")
+        a._checked(spec, 1, "evaluation point")
 
 
 @dataclass(frozen=True)
@@ -429,10 +426,7 @@ def substitute(outer: SeriesTuple | Series, subs) -> SeriesTuple | Series:
     proto: Series | None = None
     for s in subs:
         if isinstance(s, Coefficient):
-            if s.spec != spec:
-                raise RingMismatchError("substituted constant in a different ring")
-            if s.valuation() < 1:
-                raise MaximalIdealError("substituted constant outside the maximal ideal")
+            s._checked(spec, 1, "substituted constant")
         elif isinstance(s, Series):
             if s.spec != spec:
                 raise RingMismatchError("substituted series over a different ring")

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 from .errors import EnumerationBoundError, ExactnessError, LawError, MaximalIdealError
 from .fgl import FormalGroupLaw, _exact_polynomials
-from .rings import Coefficient, _rep_count, parse_coefficient, representatives
+from .rings import Coefficient, _rep_count, representatives
 from .series import SeriesTuple, substitute
 
 
@@ -92,18 +92,9 @@ class StandardGroup:
         coords = list(coords)
         if len(coords) != self.law.d:
             raise ValueError(f"expected {self.law.d} coordinates, got {len(coords)}")
-        out = []
-        for c in coords:
-            if isinstance(c, str):
-                c = parse_coefficient(self.law.spec, c)
-            elif not isinstance(c, Coefficient):
-                c = Coefficient.make(self.law.spec, c)
-            if c.spec != self.law.spec:
-                raise MaximalIdealError("coordinate from a different ring")
-            if c.valuation() < self.N:
-                raise MaximalIdealError(f"coordinate valuation below level N={self.N}")
-            out.append(c)
-        return GroupElement(self, tuple(out))
+        spec = self.law.spec
+        coords = [Coefficient.make(spec, c)._checked(spec, self.N, "coordinate") for c in coords]
+        return GroupElement(self, tuple(coords))
 
     # the law's kernels at full precision, where reduction changes nothing
     @cached_property

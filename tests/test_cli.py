@@ -98,6 +98,38 @@ def test_flag_conflicts_are_usage_errors(samples, capsys):
     assert "not allowed with" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, given, beside", [
+    (["fgl", "check", "LAW/additive.json", "--p", "4", "--m", "1"], "--p, --m", "the law file"),
+    (["fgl", "inverse", "LAW/additive.json", "--ring", "eq-char"], "--ring", "the law file"),
+    (["word", "series", "--word", "x1", "--law", "LAW/heisenberg.json", "--D", "3"], "--D",
+     "the law file"),
+    (["group", "inv", "--group", "LAW/heisenberg_group.json", "--x", "2,4,8", "--N", "3"],
+     "--N", "--group"),
+    (["group", "inv", "--group", "LAW/heisenberg_group.json", "--x", "2,4,8", "--K", "5",
+      "--dim", "1"], "--K, --dim", "--group"),
+])
+def test_flags_that_do_not_apply_are_usage_errors(samples, capsys, argv, given, beside):
+    # a law file fixes its ring, truncation and dimension, and a group file
+    # its level; the flags for them apply to catalogue laws alone
+    argv = [a.replace("LAW", str(samples)) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: usage: {given} not allowed with {beside}")
+
+
+def test_catalogue_defaults_apply_only_where_flags_are_left_out(samples, capsys):
+    explicit = ["--p", "2", "--K", "4", "--ring", "p-adic", "--D", "4", "--dim", "1"]
+    inverse = ["fgl", "inverse", "multiplicative"]
+    assert run(capsys, inverse) == run(capsys, inverse + explicit)
+    inv = ["group", "inv", "--x", "2", "--law", "additive"]
+    assert run(capsys, inv) == run(capsys, inv + explicit + ["--N", "1"])
+    law = str(samples / "heisenberg.json")
+    assert run(capsys, ["group", "inv", "--law", law, "--x", "2,4,8", "--N", "1"]) == \
+        (0, "(30, 28, 0)\n", "")
+    code, out, err = run(capsys, ["group", "inv", "--law", law, "--x", "2,4,8", "--N", "3"])
+    assert (code, out) == (1, "") and "MaximalIdealError" in err
+
+
 def test_domain_errors_exit_one(samples, capsys):
     code, out, err = run(capsys, ["word", "eval", "--word", "x1]", "--law",
                                   "additive", "--args", "2"])

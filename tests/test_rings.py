@@ -239,10 +239,12 @@ def test_random_ideal_element_deterministic():
 
 
 def test_format_parse_roundtrip_random():
+    # Coefficient.make reads text through the same parser
     rng = random.Random(13)
     for spec in SPECS:
         for c in sample(spec, rng, 25):
             assert parse_coefficient(spec, str(c)) == c
+            assert Coefficient.make(spec, str(c)) == c
 
 
 _PA, _EQ = padic(2, 3), eqchar(2, 3)
@@ -287,8 +289,9 @@ _REFUSALS = [
 
 def test_parse_errors():
     for spec, text, message in _REFUSALS:
-        with pytest.raises(ValueError, match=message):
-            parse_coefficient(spec, text)
+        for read in (parse_coefficient, Coefficient.make):
+            with pytest.raises(ValueError, match=message):
+                read(spec, text)
 
 
 def _series_terms(obj):

@@ -186,7 +186,7 @@ def test_one_specialisation_path():
     # t-variables are evaluated by Specialisation alone (rings.specialise is
     # its one-shot form), and polynomial evaluation is shared only with series
     allowed = {("series.py", "Series._evaluate_unchecked"),
-               ("rings.py", "Specialisation.__call__")}
+               ("rings.py", "Specialisation._map")}
     found = {(name, owner) for name, tree in _sources()
              for owner, node in _calls(tree) if _callee(node) == "evaluate_terms"}
     assert found == allowed, f"evaluate_terms callers: {sorted(found)}"
@@ -335,3 +335,62 @@ def test_homomorphism_decided_only_by_the_maps():
     assert not named & maps, sorted(named & maps)
     assert "isinstance" not in {_callee(node) for owner, node in _calls(atlas)
                                 if owner == "TransversalData.map_coefficients"}
+
+
+def _membership_tests(sources):
+    """(readers of .valuation(), comparisons with a .valuation() call,
+    raisers of MaximalIdealError), each as (file, function) pairs."""
+    readers, compares, raisers = set(), set(), set()
+    for name, tree in sources.items():
+        for owner, node in _calls(tree):
+            if _callee(node) == "valuation":
+                readers.add((name, owner))
+            elif _callee(node) == "MaximalIdealError":
+                raisers.add((name, owner))
+        compares |= {(name, owner) for owner, node in _calls(tree, ast.Compare)
+                     if any(isinstance(side, ast.Call) and _callee(side) == "valuation"
+                            for side in (node.left, *node.comparators))}
+    return readers, compares, raisers
+
+
+def test_one_membership_test():
+    # "is x in m^N?" is one reduction: Coefficient._checked refuses caller
+    # input outside m^level, StandardGroup._level refuses products, and the
+    # quotient's lookup is its closure check; comparing with .valuation() is
+    # a second test, and only Specialisation reads a valuation, for its bound
+    readers, compares, raisers = _membership_tests(dict(_sources()))
+    assert readers == {("rings.py", "Specialisation.__init__")}, sorted(readers)
+    assert not compares, sorted(compares)
+    assert raisers == {("rings.py", "Coefficient._checked"), ("stdgrp.py", "StandardGroup._level"),
+                       ("stdgrp.py", "QuotientGroup._element")}, sorted(raisers)
+
+
+def test_membership_pin_sees_a_copied_check():
+    copied = ast.parse("class G:\n    def element(self, c):\n        if c.valuation() < self.N:\n"
+                       "            raise MaximalIdealError('below N')\n")
+    readers, compares, raisers = _membership_tests({"stdgrp.py": copied})
+    assert readers == compares == raisers == {("stdgrp.py", "G.element")}
+
+
+def test_one_coefficient_map_entry():
+    # CoefficientMap.__call__ checks the source ring once; the maps supply
+    # only _map (Specialisation binds the inherited __call__ in its own
+    # namespace, which is not a second definition)
+    maps = {(name, node.name): node for name, tree in _sources() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(base, "id", None) == "CoefficientMap" for base in node.bases)}
+    assert set(maps) == {("rings.py", "IdentityMap"), ("rings.py", "PrecisionReduction"),
+                         ("rings.py", "Specialisation")}, sorted(maps)
+    for name, node in maps.items():
+        methods = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        assert "_map" in methods and "__call__" not in methods, (name, sorted(methods))
+
+
+def test_coefficient_text_is_read_at_one_door():
+    # caller coefficients, text included, go through Coefficient.make; JSON
+    # files stay text-only through Series.from_json, and the cli builds one
+    # sample coefficient from text
+    callers = {(name, owner) for name, tree in _sources()
+               for owner, node in _calls(tree) if _callee(node) == "parse_coefficient"}
+    assert callers == {("rings.py", "Coefficient.make"), ("series.py", "Series.from_json"),
+                       ("cli.py", "_deformed_law_json")}, sorted(callers)
